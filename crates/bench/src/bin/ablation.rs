@@ -6,12 +6,15 @@
 //! cargo run --release -p bench --bin ablation -- segment
 //! cargo run --release -p bench --bin ablation -- dynslice
 //! cargo run --release -p bench --bin ablation -- decomposition
-//! cargo run --release -p bench --bin ablation              # all four
+//! cargo run --release -p bench --bin ablation -- prime
+//! cargo run --release -p bench --bin ablation              # all five
 //! ```
 
 use bench::{Args, ExperimentRecord, Measurement};
 use datasets::gaussian_cost_matrix;
-use hunipu::{ablation::two_d_exchange_bytes_per_scan, AblationConfig, DynSlice, HunIpu};
+use hunipu::{
+    ablation::two_d_exchange_bytes_per_scan, AblationConfig, DynSlice, HunIpu, PrimeMode,
+};
 use lsap::CostMatrix;
 
 fn solve(m: &CostMatrix, ab: AblationConfig, col_seg: usize) -> (f64, u64, u64) {
@@ -24,12 +27,34 @@ fn solve(m: &CostMatrix, ab: AblationConfig, col_seg: usize) -> (f64, u64, u64) 
     )
 }
 
+fn measurement(n: usize, k: u64, label: String, secs: f64, obj: u64) -> Measurement {
+    Measurement {
+        engine: "hunipu".into(),
+        n,
+        k,
+        label,
+        modeled_seconds: secs,
+        wall_seconds: 0.0,
+        objective: obj as f64,
+        extrapolated: false,
+        host_threads: ipu_sim::IpuConfig::mk2().resolved_host_threads(),
+        device_steps: 0,
+        profile_events: 0,
+    }
+}
+
 fn main() {
     let args = Args::parse();
     let which: Vec<String> = if args.positional.is_empty() {
-        ["compression", "segment", "dynslice", "decomposition"]
-            .map(String::from)
-            .to_vec()
+        [
+            "compression",
+            "segment",
+            "dynslice",
+            "decomposition",
+            "prime",
+        ]
+        .map(String::from)
+        .to_vec()
     } else {
         args.positional.clone()
     };
@@ -45,7 +70,6 @@ fn main() {
         .unwrap_or(10);
     let m = gaussian_cost_matrix(n, k, args.seed);
     let mut record = ExperimentRecord::new("ablation", format!("n={n} k={k}"), args.seed);
-    let ipu_threads = ipu_sim::IpuConfig::mk2().resolved_host_threads();
 
     for name in &which {
         match name.as_str() {
@@ -59,19 +83,7 @@ fn main() {
                     };
                     let (secs, bytes, obj) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
                     println!("  {label:<18} {:.2}ms (exchange {bytes} B)", secs * 1e3);
-                    record.push(Measurement {
-                        engine: "hunipu".into(),
-                        n,
-                        k,
-                        label: format!("compression/{label}"),
-                        modeled_seconds: secs,
-                        wall_seconds: 0.0,
-                        objective: obj as f64,
-                        extrapolated: false,
-                        host_threads: ipu_threads,
-                        device_steps: 0,
-                        profile_events: 0,
-                    });
+                    record.push(measurement(n, k, format!("compression/{label}"), secs, obj));
                 }
             }
             "segment" => {
@@ -79,19 +91,7 @@ fn main() {
                 for seg in [8usize, 16, 32, 64, 128] {
                     let (secs, _, obj) = solve(&m, AblationConfig::default(), seg);
                     println!("  segment {seg:<4} {:.2}ms", secs * 1e3);
-                    record.push(Measurement {
-                        engine: "hunipu".into(),
-                        n,
-                        k,
-                        label: format!("segment/{seg}"),
-                        modeled_seconds: secs,
-                        wall_seconds: 0.0,
-                        objective: obj as f64,
-                        extrapolated: false,
-                        host_threads: ipu_threads,
-                        device_steps: 0,
-                        profile_events: 0,
-                    });
+                    record.push(measurement(n, k, format!("segment/{seg}"), secs, obj));
                 }
             }
             "dynslice" => {
@@ -106,19 +106,7 @@ fn main() {
                     };
                     let (secs, bytes, obj) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
                     println!("  {label:<22} {:.2}ms (exchange {bytes} B)", secs * 1e3);
-                    record.push(Measurement {
-                        engine: "hunipu".into(),
-                        n,
-                        k,
-                        label: format!("dynslice/{label}"),
-                        modeled_seconds: secs,
-                        wall_seconds: 0.0,
-                        objective: obj as f64,
-                        extrapolated: false,
-                        host_threads: ipu_threads,
-                        device_steps: 0,
-                        profile_events: 0,
-                    });
+                    record.push(measurement(n, k, format!("dynslice/{label}"), secs, obj));
                 }
             }
             "decomposition" => {
@@ -137,6 +125,21 @@ fn main() {
                      \x20                 (every row needs a sqrt(tiles)-way combine)"
                 );
                 println!("  -> the paper's 1D choice avoids per-scan cross-tile traffic entirely.");
+            }
+            "prime" => {
+                println!("\nA5 — Step 4 prime schedule, n={n}, k={k}:");
+                for (label, prime) in [
+                    ("paper three-phase", PrimeMode::ThreePhase),
+                    ("fused", PrimeMode::Fused),
+                ] {
+                    let ab = AblationConfig {
+                        prime,
+                        ..Default::default()
+                    };
+                    let (secs, bytes, obj) = solve(&m, ab, hunipu::COL_SEG_DEFAULT);
+                    println!("  {label:<18} {:.2}ms (exchange {bytes} B)", secs * 1e3);
+                    record.push(measurement(n, k, format!("prime/{label}"), secs, obj));
+                }
             }
             other => panic!("unknown ablation '{other}'"),
         }

@@ -44,10 +44,7 @@ const SPARSE_K: usize = 8;
 
 fn main() {
     let args = Args::parse();
-    let sizes: Vec<usize> = args
-        .sizes
-        .clone()
-        .unwrap_or_else(|| vec![256, 1024, 4096]);
+    let sizes: Vec<usize> = args.sizes.clone().unwrap_or_else(|| vec![256, 1024, 4096]);
     let seed = args.seed;
 
     println!(
@@ -68,14 +65,14 @@ fn main() {
     // In-binary acceptance, independent of the committed baseline: the
     // sweep itself must demonstrate both tentpole claims.
     let dense_hit_ceiling = entries.iter().any(|e| e.engine == "dense" && !e.feasible);
-    let tiled_at_ceiling = entries
-        .iter()
-        .any(|e| e.engine == "tiled" && e.feasible && {
+    let tiled_at_ceiling = entries.iter().any(|e| {
+        e.engine == "tiled" && e.feasible && {
             let blocked = entries
                 .iter()
                 .any(|d| d.engine == "dense" && d.n == e.n && !d.feasible);
             blocked
-        });
+        }
+    });
     if !dense_hit_ceiling || !tiled_at_ceiling {
         eprintln!(
             "FAIL: the sweep must include a size where dense exceeds the SRAM budget \

@@ -11,7 +11,12 @@
 //! - **A3 — column-segment size (§IV-E).** Swept via
 //!   [`crate::HunIpu::with_col_seg`].
 //! - **A4 — dynamic-slice strategy (§IV-G).** Partition-and-distribute
-//!   (Fig. 4) versus shipping the whole tensor to one tile per read.
+//!   (Fig. 4) versus shipping the whole tensor to one tile per read. With
+//!   the fused prime this touches only the Step 5 reads and the augment
+//!   branch's zero-column read.
+//! - **A5 — Step 4 prime schedule.** The fused one-superstep prime (the
+//!   default) versus the paper's three-phase prime with two dynamic reads
+//!   ([`PrimeMode`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -29,6 +34,23 @@ pub enum DynSlice {
     SingleTileGather,
 }
 
+/// Schedule of Step 4's priming action (status 0: prime the selected
+/// row's zero, cover the row, uncover its star's column).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum PrimeMode {
+    /// One compute set after the selected-row broadcast. Row owners prime
+    /// from their tile-local `row_zero_col`; column-segment owners clear
+    /// the cover of the column whose `col_star` is the selected row (by
+    /// the star invariant `row_star[r] = j ⇔ col_star[j] = r`, the same
+    /// column the paper reads back).
+    #[default]
+    Fused,
+    /// The paper's schedule (§IV-F/G): dynamic-read the zero column and
+    /// the star column to the collector, broadcast both, then prime and
+    /// uncover in two compute sets.
+    ThreePhase,
+}
+
 /// Toggles for the design choices HunIPU is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AblationConfig {
@@ -39,6 +61,10 @@ pub struct AblationConfig {
     pub compression: bool,
     /// Dynamic-slice strategy (§IV-G).
     pub dyn_slice: DynSlice,
+    /// Step 4 prime schedule; the paper's three-phase prime is kept as a
+    /// reference variant.
+    #[serde(default)]
+    pub prime: PrimeMode,
 }
 
 impl Default for AblationConfig {
@@ -46,6 +72,7 @@ impl Default for AblationConfig {
         Self {
             compression: true,
             dyn_slice: DynSlice::PartitionDistribute,
+            prime: PrimeMode::Fused,
         }
     }
 }
@@ -75,6 +102,8 @@ mod tests {
         let c = AblationConfig::default();
         assert!(c.compression);
         assert_eq!(c.dyn_slice, DynSlice::PartitionDistribute);
+        // The one departure: the prime is fused (bit-identical results).
+        assert_eq!(c.prime, PrimeMode::Fused);
     }
 
     #[test]

@@ -107,8 +107,6 @@ pub(crate) struct Ts {
     pub len_m: Tensor,
     pub pass_m: Tensor,
     pub sel_row_m: Tensor,
-    pub sel_col_m: Tensor,
-    pub star_col_m: Tensor,
     pub cur_col_m: Tensor,
     pub k_row_m: Tensor,
     /// Step 6's Δ, f32.
@@ -254,8 +252,6 @@ impl Builder {
         let len_m = g.add_replicated("len_m", DType::I32, 1);
         let pass_m = g.add_replicated("pass_m", DType::I32, 1);
         let sel_row_m = g.add_replicated("sel_row_m", DType::I32, 1);
-        let sel_col_m = g.add_replicated("sel_col_m", DType::I32, 1);
-        let star_col_m = g.add_replicated("star_col_m", DType::I32, 1);
         let cur_col_m = g.add_replicated("cur_col_m", DType::I32, 1);
         let k_row_m = g.add_replicated("k_row_m", DType::I32, 1);
         let delta_m = g.add_replicated("delta_m", DType::F32, 1);
@@ -335,8 +331,6 @@ impl Builder {
             len_m,
             pass_m,
             sel_row_m,
-            sel_col_m,
-            star_col_m,
             cur_col_m,
             k_row_m,
             delta_m,

@@ -15,7 +15,9 @@
 //!    termination.
 //! 4. **Alternating-path search** (§IV-F): each row scans only its
 //!    compressed zeros and publishes a −1/0/1 state; an arg-max reduction
-//!    selects the action.
+//!    selects the action. A prime (state 0) runs as one fused superstep
+//!    on tile-local state instead of the paper's two dynamic reads
+//!    ([`PrimeMode`]; same rows primed, same columns uncovered).
 //! 5. **Path augmentation** (§IV-G): the alternating path is recorded in
 //!    the `green_column` stack, with every runtime-index access built as
 //!    a partition-and-distribute dynamic slice (Fig. 4); the flip then
@@ -65,7 +67,7 @@ mod steps;
 mod streaming;
 mod warm;
 
-pub use ablation::{AblationConfig, DynSlice};
+pub use ablation::{AblationConfig, DynSlice, PrimeMode};
 pub use batch::{BatchHunIpu, BatchStrategy};
 pub use layout::{Layout, COL_SEG};
 pub use solver::{HunIpu, LayoutMode, F32_VERIFY_EPS, TILED_BLOCK_COLS, TILED_ZCAP};

@@ -121,7 +121,8 @@ impl HunIpu {
     }
 
     /// Overrides the ablation toggles (compression, dynamic-slice
-    /// strategy); the default is the paper's design.
+    /// strategy, prime schedule); the default is the paper's design with
+    /// the fused Step 4 prime.
     pub fn with_ablation(mut self, ablation: crate::ablation::AblationConfig) -> Self {
         self.ablation = ablation;
         self

@@ -1,6 +1,7 @@
 //! The six HunIPU steps (§IV-C through §IV-H), each built as a program
 //! fragment over the static graph.
 
+use crate::ablation::PrimeMode;
 use crate::build::{Builder, Storage};
 use ipu_sim::kernels;
 use ipu_sim::poplib::{reduce_columns_mirrored, reduce_columns_mirrored_hier, ReduceOp};
@@ -750,19 +751,7 @@ impl Builder {
             },
         )?;
 
-        // Shared fragment: resolve the selected row's uncovered-zero
-        // column via a dynamic read, and mirror it.
-        let row_intervals = self.row_block_intervals(1);
-        let (rzc_out, read_rzc) =
-            self.dyn_read_i32("step4.selcol", t_rzc, self.t.sel_row_m, &row_intervals)?;
-        let get_sel_col = Program::seq(vec![
-            Program::broadcast(t_sel_row.whole(), self.t.sel_row_m.whole()),
-            read_rzc,
-            Program::broadcast(rzc_out.whole(), self.t.sel_col_m.whole()),
-        ]);
-
-        let prime = self.frag_prime(&get_sel_col, &row_intervals)?;
-        let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
+        let (augment, prime) = self.frag_augment_and_prime()?;
         let step6 = self.frag_step6(compress)?;
 
         let dispatch = Program::if_else(
@@ -781,12 +770,100 @@ impl Builder {
         Ok(Program::while_true(t_searching, body))
     }
 
-    /// Step 4's priming action (status 0): prime the zero, cover its row,
-    /// uncover its star's column (§IV-F). All writes at runtime-computed
-    /// indices use the partition-and-distribute pattern (§IV-G).
-    fn frag_prime(
+    /// The two non-slack branches of the search loop, shared by the
+    /// dense, sparse, seeded and tiled programs: Step 5's augmentation
+    /// (status 1) and Step 4's priming (status 0). Both start from the
+    /// selected row's broadcast; only the augmentation needs the row's
+    /// zero column on the collector, so only it runs that dynamic read.
+    fn frag_augment_and_prime(&mut self) -> Result<(Program, Program), GraphError> {
+        let row_intervals = self.row_block_intervals(1);
+        let bcast_row = Program::broadcast(self.t.sel_row.whole(), self.t.sel_row_m.whole());
+        let (rzc_out, read_rzc) = self.dyn_read_i32(
+            "step4.selcol",
+            self.t.row_zero_col,
+            self.t.sel_row_m,
+            &row_intervals,
+        )?;
+        let get_sel_col = Program::seq(vec![bcast_row.clone(), read_rzc]);
+        let prime = match self.ab.prime {
+            PrimeMode::Fused => self.frag_prime_fused(bcast_row, &row_intervals)?,
+            PrimeMode::ThreePhase => {
+                self.frag_prime_three_phase(get_sel_col.clone(), rzc_out, &row_intervals)?
+            }
+        };
+        let augment = self.frag_augment(get_sel_col, rzc_out, &row_intervals)?;
+        Ok((augment, prime))
+    }
+
+    /// Step 4's priming action (status 0) in ONE compute superstep after
+    /// the selected-row broadcast: prime the zero, cover its row, uncover
+    /// its star's column (§IV-F) — every operand is already tile-local.
+    /// The row owner holds `row_zero_col[r]` (exactly what the paper's
+    /// first dynamic read fetches); each column-segment owner clears the
+    /// cover of its column `j` with `col_star[j] == r`, which by the star
+    /// invariant `row_star[r] = j ⇔ col_star[j] = r` (kept by Steps 2 and
+    /// 5) is the column the paper's second dynamic read fetches.
+    fn frag_prime_fused(
         &mut self,
-        get_sel_col: &Program,
+        bcast_row: Program,
+        row_intervals: &[(std::ops::Range<usize>, usize)],
+    ) -> Result<Program, GraphError> {
+        let l = self.l.clone();
+        let t_selr_m = self.t.sel_row_m;
+        let (t_rzc, t_prime, t_rcov) = (self.t.row_zero_col, self.t.row_prime, self.t.row_cover);
+        let (t_cstar, t_ccov) = (self.t.col_star, self.t.col_cover);
+        let cs = self.g.add_compute_set("step4.prime");
+        for (range, tile) in row_intervals {
+            let (s0, s1) = (range.start, range.end);
+            let v = self.g.add_vertex(cs, *tile, "prime", move |ctx| {
+                let r = ctx.i32(0)[0] as usize;
+                if r >= s0 && r < s1 {
+                    let j = ctx.i32(1)[r - s0];
+                    ctx.i32_mut(2)[r - s0] = j;
+                    ctx.i32_mut(3)[r - s0] = 1;
+                }
+                cost::scalar(5)
+            })?;
+            self.g.connect(v, t_selr_m.whole(), Access::Read)?;
+            self.g
+                .connect(v, t_rzc.slice(range.clone()), Access::Read)?;
+            self.g
+                .connect(v, t_prime.slice(range.clone()), Access::ReadWrite)?;
+            self.g
+                .connect(v, t_rcov.slice(range.clone()), Access::ReadWrite)?;
+        }
+        for seg in 0..l.n_col_segs() {
+            let tile = l.col_seg_tile(seg);
+            let cols = l.col_seg_cols(seg);
+            let v = self.g.add_vertex(cs, tile, "uncover", move |ctx| {
+                let r = ctx.i32(0)[0];
+                let star = ctx.i32(1);
+                let mut cov = ctx.i32_mut(2);
+                for (c, &s) in star.iter().enumerate() {
+                    if s == r {
+                        cov[c] = 0;
+                    }
+                }
+                cost::i32_scan(star.len()) + cost::scalar(1)
+            })?;
+            self.g.connect(v, t_selr_m.whole(), Access::Read)?;
+            self.g
+                .connect(v, t_cstar.slice(cols.clone()), Access::Read)?;
+            self.g.connect(v, t_ccov.slice(cols), Access::ReadWrite)?;
+        }
+        Ok(Program::seq(vec![bcast_row, Program::execute(cs)]))
+    }
+
+    /// The paper's three-phase priming action (§IV-F/G), kept as the
+    /// [`PrimeMode::ThreePhase`] reference: dynamic-read the zero column
+    /// (`get_sel_col`, landing in `rzc_out`) and the star column to the
+    /// collector, broadcast them, then prime and uncover in two compute
+    /// sets. All writes at runtime-computed indices use
+    /// partition-and-distribute (§IV-G).
+    fn frag_prime_three_phase(
+        &mut self,
+        get_sel_col: Program,
+        rzc_out: ipu_sim::Tensor,
         row_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
         let l = self.l.clone();
@@ -796,8 +873,10 @@ impl Builder {
             self.t.sel_row_m,
             row_intervals,
         )?;
+        let t_selc_m = self.g.add_replicated("sel_col_m", DType::I32, 1);
+        let t_star_m = self.g.add_replicated("star_col_m", DType::I32, 1);
 
-        let (t_selr_m, t_selc_m) = (self.t.sel_row_m, self.t.sel_col_m);
+        let t_selr_m = self.t.sel_row_m;
         let (t_prime, t_rcov) = (self.t.row_prime, self.t.row_cover);
         let cs_prime = self.g.add_compute_set("step4.prime");
         for (range, tile) in row_intervals {
@@ -819,7 +898,7 @@ impl Builder {
                 .connect(v, t_rcov.slice(range.clone()), Access::ReadWrite)?;
         }
 
-        let (t_star_m, t_ccov) = (self.t.star_col_m, self.t.col_cover);
+        let t_ccov = self.t.col_cover;
         let cs_uncover = self.g.add_compute_set("step4.uncover");
         for seg in 0..l.n_col_segs() {
             let tile = l.col_seg_tile(seg);
@@ -837,9 +916,10 @@ impl Builder {
         }
 
         Ok(Program::seq(vec![
-            get_sel_col.clone(),
+            get_sel_col,
+            Program::broadcast(rzc_out.whole(), t_selc_m.whole()),
             read_star,
-            Program::broadcast(star_out.whole(), self.t.star_col_m.whole()),
+            Program::broadcast(star_out.whole(), t_star_m.whole()),
             Program::execute(cs_prime),
             Program::execute(cs_uncover),
         ]))
@@ -850,7 +930,7 @@ impl Builder {
     /// stars in parallel, clear primes and covers, and end the search.
     fn frag_augment(
         &mut self,
-        get_sel_col: &Program,
+        get_sel_col: Program,
         rzc_out: ipu_sim::Tensor,
         row_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
@@ -1027,7 +1107,7 @@ impl Builder {
         let grows_bc = self.broadcast_from_collector("step5.grows", t_grows, t_ma)?;
         let gcols_bc = self.broadcast_from_collector("step5.gcols", t_gcols, t_mb)?;
         Ok(Program::seq(vec![
-            get_sel_col.clone(),
+            get_sel_col,
             Program::execute(cs_init),
             walk,
             grows_bc,
@@ -1398,11 +1478,7 @@ impl Builder {
     /// A row with more than `zcap` zeros gets a truncated list — Step 2
     /// then stars a subset, which only costs extra search iterations;
     /// the search loop itself rescans streamed blocks, never the lists.
-    fn frag_tiled_setup(
-        &mut self,
-        block_cols: usize,
-        zcap: usize,
-    ) -> Result<Program, GraphError> {
+    fn frag_tiled_setup(&mut self, block_cols: usize, zcap: usize) -> Result<Program, GraphError> {
         let (l, n, th) = (self.l.clone(), self.l.n, self.l.threads);
         let (t_slack, t_u) = (self.t.slack, self.t.u);
         let (t_comp, t_zc) = (self.t.compress, self.t.zero_count);
@@ -1564,8 +1640,11 @@ impl Builder {
                 t_comp.slice(chunk.start * zcap..chunk.end * zcap),
                 Access::Write,
             )?;
-            self.g
-                .connect(v, t_zc.slice(chunk.start * th..chunk.end * th), Access::Write)?;
+            self.g.connect(
+                v,
+                t_zc.slice(chunk.start * th..chunk.end * th),
+                Access::Write,
+            )?;
         }
         prog.push(Program::execute(cs_zinit));
         for (b, cols) in blocks.iter().enumerate() {
@@ -1792,17 +1871,7 @@ impl Builder {
             },
         )?;
 
-        let row_intervals = self.row_block_intervals(1);
-        let (rzc_out, read_rzc) =
-            self.dyn_read_i32("step4.selcol", t_rzc, self.t.sel_row_m, &row_intervals)?;
-        let get_sel_col = Program::seq(vec![
-            Program::broadcast(t_sel_row.whole(), self.t.sel_row_m.whole()),
-            read_rzc,
-            Program::broadcast(rzc_out.whole(), self.t.sel_col_m.whole()),
-        ]);
-
-        let prime = self.frag_prime(&get_sel_col, &row_intervals)?;
-        let augment = self.frag_augment(&get_sel_col, rzc_out, &row_intervals)?;
+        let (augment, prime) = self.frag_augment_and_prime()?;
         let step6 = self.frag_step6_tiled()?;
 
         let dispatch = Program::if_else(

@@ -102,6 +102,12 @@ impl WarmEngine {
         self.seeded.as_ref().map(|s| s.engine.program_load_cycles())
     }
 
+    /// The seeded re-solve program's engine, once compiled, for the same
+    /// cycle-level inspection [`WarmEngine::engine`] gives the cold one.
+    pub fn seeded_engine(&self) -> Option<&ipu_sim::Engine> {
+        self.seeded.as_ref().map(|s| &s.engine)
+    }
+
     /// Streams a warm-started re-solve through the seeded program: the
     /// previous solve's duals are repaired against `matrix` on the host
     /// ([`lsap::repair_duals_f32`]), the reduced slack and repaired `u, v`

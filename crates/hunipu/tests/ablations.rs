@@ -2,7 +2,7 @@
 //! performance. Every variant must return the same optimal objective and
 //! a valid certificate.
 
-use hunipu::{AblationConfig, DynSlice, HunIpu, F32_VERIFY_EPS};
+use hunipu::{AblationConfig, DynSlice, HunIpu, PrimeMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
 use lsap::{CostMatrix, LsapSolver};
 
@@ -65,6 +65,7 @@ fn both_ablations_together_match_default() {
         AblationConfig {
             compression: false,
             dyn_slice: DynSlice::SingleTileGather,
+            prime: PrimeMode::ThreePhase,
         },
     );
     assert_eq!(base, both);

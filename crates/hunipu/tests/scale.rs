@@ -56,7 +56,9 @@ fn dense_4096_exceeds_sram_but_tiled_solves() {
     // The tiled program solves the instance the dense path cannot hold.
     let solver = HunIpu::with_config(config.clone());
     let (report, engine) = solver.solve_tiled(&m).expect("tiled solve");
-    report.verify(&m, F32_VERIFY_EPS).expect("tiled certificate");
+    report
+        .verify(&m, F32_VERIFY_EPS)
+        .expect("tiled certificate");
     assert_eq!(report.objective, n as f64);
     assert!(engine.stats().host_bytes > 0, "cost blocks must stream");
 
@@ -194,12 +196,8 @@ fn sparse_engine_direct_differential() {
 /// loop must re-admit the cut column and land on the dense optimum.
 #[test]
 fn device_repair_readmits_pruned_optimal_edge() {
-    let m = CostMatrix::from_rows(&[
-        &[0.0, 1.0, 2.0],
-        &[0.0, 100.0, 99.0],
-        &[98.0, 0.0, 100.0],
-    ])
-    .unwrap();
+    let m = CostMatrix::from_rows(&[&[0.0, 1.0, 2.0], &[0.0, 100.0, 99.0], &[98.0, 0.0, 100.0]])
+        .unwrap();
     let solver = HunIpu::with_config(IpuConfig::tiny(4));
     let out = solver.solve_pruned(&m, 2, 6).expect("repair must converge");
     assert!(out.rounds > 1, "repair must actually trigger: {out:?}");

@@ -240,7 +240,10 @@ impl Graph {
         }
         if info.host {
             return Err(GraphError::BadSlice {
-                detail: format!("tensor '{}' lives on the host and takes no tile mapping", info.name),
+                detail: format!(
+                    "tensor '{}' lives on the host and takes no tile mapping",
+                    info.name
+                ),
             });
         }
         if slice.end > info.len || slice.start > slice.end {

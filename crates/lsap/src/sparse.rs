@@ -292,14 +292,12 @@ pub fn violated_entries(
     cert: &DualCertificate,
     eps: f64,
 ) -> Vec<(usize, usize)> {
-    let n = dense.rows();
     let (lo, hi) = dense.min_max();
     let tol = eps * 1.0_f64.max(lo.abs()).max(hi.abs());
-    let (u, v) = (&cert.u, &cert.v);
     let mut out = Vec::new();
-    for i in 0..n {
-        for j in 0..dense.cols() {
-            if u[i] + v[j] > dense.get(i, j) + tol {
+    for (i, &ui) in cert.u.iter().enumerate().take(dense.rows()) {
+        for (j, &vj) in cert.v.iter().enumerate().take(dense.cols()) {
+            if ui + vj > dense.get(i, j) + tol {
                 out.push((i, j));
             }
         }
@@ -556,8 +554,7 @@ mod tests {
     fn repair_not_needed_when_prune_keeps_the_optimum() {
         // Diagonal dominance: top-1 pruning already contains the optimum.
         let m = dense(&[&[0.0, 9.0, 9.0], &[9.0, 0.0, 9.0], &[9.0, 9.0, 0.0]]);
-        let out =
-            solve_pruned_with_repair(&m, 1, 4, 1e-9, brute_sparse, brute_dense).unwrap();
+        let out = solve_pruned_with_repair(&m, 1, 4, 1e-9, brute_sparse, brute_dense).unwrap();
         assert_eq!(out.rounds, 1);
         assert_eq!(out.readmitted, 0);
         assert!(!out.dense_fallback);
@@ -571,8 +568,7 @@ mod tests {
         // r0's pruned column 2 and costs 2. The dual screen must pull
         // the cut column back in and land on 2.
         let m = dense(&[&[0.0, 1.0, 2.0], &[0.0, 100.0, 99.0], &[98.0, 0.0, 100.0]]);
-        let out =
-            solve_pruned_with_repair(&m, 2, 6, 1e-9, brute_sparse, brute_dense).unwrap();
+        let out = solve_pruned_with_repair(&m, 2, 6, 1e-9, brute_sparse, brute_dense).unwrap();
         assert!(out.rounds > 1, "repair must actually trigger");
         assert!(out.readmitted > 0);
         assert!(!out.dense_fallback);
@@ -590,8 +586,7 @@ mod tests {
             &[1.0, 1.0, 70.0, 70.0],
             &[30.0, 40.0, 1.0, 1.0],
         ]);
-        let out =
-            solve_pruned_with_repair(&m, 2, 6, 1e-9, brute_sparse, brute_dense).unwrap();
+        let out = solve_pruned_with_repair(&m, 2, 6, 1e-9, brute_sparse, brute_dense).unwrap();
         assert!(out.escalations >= 1, "escalation must trigger: {out:?}");
         assert!(!out.dense_fallback);
         out.report.verify(&m, 1e-9).unwrap();

@@ -808,7 +808,11 @@ impl AssignmentService {
             .models
             .iter()
             .any(|m| m.engine == "hunipu" && m.supports_shape(shape));
-        if dense_ok { "hunipu" } else { "hunipu_tiled" }
+        if dense_ok {
+            "hunipu"
+        } else {
+            "hunipu_tiled"
+        }
     }
 
     /// Order of the exact rungs for this request. Device-first by
