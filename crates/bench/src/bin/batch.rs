@@ -27,13 +27,12 @@
 //! Grid: `--sizes N` (first entry; default 64), `--batch B` (default 16,
 //! 32 under `--full`), `--ks K` (first entry; default 10), `--seed S`.
 
-use bench::{Args, BaselineEntry, BatchBaseline, ExperimentRecord, Measurement, CYCLE_TOLERANCE};
+use bench::{gate_main, Args, BaselineEntry, BatchBaseline, ExperimentRecord, Measurement};
 use cpu_hungarian::{CpuBatch, JonkerVolgenant};
 use datasets::gaussian_cost_matrix;
 use fastha::{BatchFastHa, FastHa};
 use hunipu::{BatchHunIpu, BatchStrategy, HunIpu};
 use lsap::{BatchLsapSolver, BatchReport, CostMatrix, SequentialBatch};
-use std::path::Path;
 
 fn main() {
     let args = Args::parse();
@@ -77,62 +76,7 @@ fn main() {
         seed,
         entries,
     };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_batch.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match BatchBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin batch -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        for base_entry in &base.entries {
-            if let Some(cur) = current
-                .entries
-                .iter()
-                .find(|e| e.engine == base_entry.engine)
-            {
-                let delta = (cur.batched / base_entry.batched - 1.0) * 100.0;
-                println!(
-                    "gate {}: baseline {:.2} run {:.2} {} ({delta:+.2}%)",
-                    base_entry.engine, base_entry.batched, cur.batched, base_entry.metric
-                );
-                if delta < -CYCLE_TOLERANCE * 100.0 {
-                    println!(
-                        "  note: >{:.0}% faster than baseline — consider refreshing \
-                         BENCH_batch.json so the gate tracks the improvement",
-                        CYCLE_TOLERANCE * 100.0
-                    );
-                }
-            }
-        }
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED (tolerance {:.0}%)",
-                CYCLE_TOLERANCE * 100.0
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate_main(&args, &current);
 }
 
 struct Row {

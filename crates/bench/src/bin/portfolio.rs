@@ -22,7 +22,7 @@
 //! once a batch amortizes its lockstep launch latency, and extra chips
 //! make the IPU *slower* at these sizes. If any engine change moves a
 //! cell's oracle away from the model's pick by more than
-//! [`PORTFOLIO_MAX_REGRET`], the gate fails and the committed constants
+//! [`bench::PORTFOLIO_MAX_REGRET`], the gate fails and the committed constants
 //! in `PortfolioTable::calibrated` must be refitted with
 //! `bench calibrate --emit-rust`.
 //!
@@ -37,8 +37,7 @@
 //! batches 1 and 8, chips 1 and 4, `--seed` (default 1).
 
 use bench::{
-    Args, ExperimentRecord, MeasuredCost, Measurement, PortfolioBaseline, PortfolioEntry,
-    CYCLE_TOLERANCE, PORTFOLIO_MAX_REGRET,
+    gate_main, Args, ExperimentRecord, MeasuredCost, Measurement, PortfolioBaseline, PortfolioEntry,
 };
 use cpu_hungarian::{Auction, JonkerVolgenant, Munkres};
 use datasets::gaussian_cost_matrix;
@@ -47,7 +46,6 @@ use hunipu::{BatchHunIpu, HunIpu};
 use ipu_sim::IpuConfig;
 use lsap::portfolio::{InstanceShape, PortfolioTable};
 use lsap::{BatchLsapSolver, CostMatrix, LsapSolver, COST_EPS};
-use std::path::Path;
 use std::time::Instant;
 
 /// Batch sizes of the grid (1 = no amortization; 8 = serving batches).
@@ -127,50 +125,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = PortfolioBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_portfolio.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match PortfolioBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin portfolio -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "portfolio gate PASSED ({} cells, max regret {:.2}%, gate {:.0}%)",
-                current.entries.len(),
-                current
-                    .entries
-                    .iter()
-                    .map(|e| e.regret)
-                    .fold(0.0f64, f64::max)
-                    * 100.0,
-                PORTFOLIO_MAX_REGRET * 100.0
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate_main(&args, &PortfolioBaseline { seed, entries });
 }
 
 /// Measures every engine once per (n, k); the batch/chips sub-grid is

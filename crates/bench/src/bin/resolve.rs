@@ -32,15 +32,11 @@
 //!   cell (`k <= n/8`) dropping below the 2x speedup floor, or the
 //!   seeded program silently never being taken.
 
-use bench::{
-    Args, ExperimentRecord, Measurement, ResolveBaseline, ResolveEntry, CYCLE_TOLERANCE,
-    RESOLVE_MIN_SPEEDUP,
-};
+use bench::{gate_main, Args, ExperimentRecord, Measurement, ResolveBaseline, ResolveEntry};
 use datasets::gaussian_cost_matrix;
 use hunipu::{HunIpu, StreamingHunIpu};
 use ipu_sim::IpuConfig;
 use lsap::{DeltaUpdate, IncrementalSolver};
-use std::path::Path;
 use std::time::Instant;
 
 /// Re-solves measured per cell (after the initial cold solve).
@@ -72,44 +68,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = ResolveBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_resolve.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match ResolveBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin resolve -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "re-solve gate PASSED (tolerance {:.0}%, k<=n/8 floor {:.1}x)",
-                CYCLE_TOLERANCE * 100.0,
-                RESOLVE_MIN_SPEEDUP
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate_main(&args, &ResolveBaseline { seed, entries });
 }
 
 /// Runs one `(n, k)` cell: a stream of `TICKS` k-row perturbations, each

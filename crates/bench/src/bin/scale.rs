@@ -29,14 +29,13 @@
 //! committed baseline and exits nonzero on regression.
 
 use bench::{
-    Args, ExperimentRecord, Measurement, ScaleBaseline, ScaleEntry, CYCLE_TOLERANCE,
+    gate_main, Args, ExperimentRecord, Measurement, ScaleBaseline, ScaleEntry,
     SCALE_SPARSE_MIN_SPEEDUP,
 };
 use datasets::{diag_dominant, prune_topk};
 use hunipu::{HunIpu, LayoutMode, F32_VERIFY_EPS};
 use ipu_sim::IpuConfig;
 use lsap::{CostMatrix, SolveReport};
-use std::path::Path;
 use std::time::Instant;
 
 const TILES: usize = 64;
@@ -110,44 +109,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let current = ScaleBaseline { seed, entries };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_scale.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match ScaleBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin scale -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED (tolerance {:.0}%, sparse floor {:.0}x)",
-                CYCLE_TOLERANCE * 100.0,
-                SCALE_SPARSE_MIN_SPEEDUP
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate_main(&args, &ScaleBaseline { seed, entries });
 }
 
 /// Runs the three representations for one instance size.

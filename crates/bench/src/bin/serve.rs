@@ -26,10 +26,9 @@
 //! default 48, 96 under `--full`), `--seed S`.
 
 use bench::{
-    calibrate_service_cycles, run_open_loop, Args, ExperimentRecord, LoadSpec, Measurement,
-    ServeBaseline, CYCLE_TOLERANCE,
+    calibrate_service_cycles, gate_main, run_open_loop, Args, ExperimentRecord, LoadSpec,
+    Measurement, ServeBaseline,
 };
-use std::path::Path;
 use std::time::Instant;
 
 fn main() {
@@ -156,43 +155,5 @@ fn main() {
         p99_latency_cycles: summary.p99_latency_cycles,
         wall_seconds: wall,
     };
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match ServeBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin serve -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current, CYCLE_TOLERANCE);
-        if violations.is_empty() {
-            println!(
-                "serve gate PASSED (tolerance {:.0}%): deterministic, zero incorrect, \
-                 queue bounded at {}/{}",
-                CYCLE_TOLERANCE * 100.0,
-                current.queue_high_water,
-                current.queue_capacity
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate_main(&args, &current);
 }

@@ -20,17 +20,14 @@
 //!
 //! `--check` compares against `BENCH_wallbench.json` (repo root): the
 //! per-thread-count suite aggregate `interp wall / plan wall` must stay
-//! at or above [`WALLBENCH_MIN_SPEEDUP`], and every cell must stay
+//! at or above [`bench::WALLBENCH_MIN_SPEEDUP`], and every cell must stay
 //! bit-identical. Any divergence also fails the plain (gate-less) run.
 
-use bench::{
-    Args, ExperimentRecord, Measurement, WallbenchBaseline, WallbenchEntry, WALLBENCH_MIN_SPEEDUP,
-};
+use bench::{gate_main, Args, ExperimentRecord, Measurement, WallbenchBaseline, WallbenchEntry};
 use datasets::gaussian_cost_matrix;
 use hunipu::HunIpu;
 use ipu_sim::{ExecMode, IpuConfig};
 use lsap::{CostMatrix, SolveReport};
-use std::path::Path;
 
 /// What must match bit-for-bit across execution modes and thread
 /// counts: objective bits, assignment pairs, total cycles, supersteps.
@@ -178,50 +175,10 @@ fn main() {
         Err(e) => eprintln!("warning: could not write experiment record: {e}"),
     }
 
-    let path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_wallbench.json".into());
-    let path = Path::new(&path);
-
-    if args.write_baseline {
-        current.save(path).expect("failed to write baseline");
-        println!("wrote baseline {}", path.display());
-    }
-
-    if args.check {
-        let base = match WallbenchBaseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: cannot read baseline {}: {e}\n\
-                     regenerate it with `cargo run --release -p bench --bin wallbench -- --write-baseline`",
-                    path.display()
-                );
-                std::process::exit(1);
-            }
-        };
-        let violations = base.compare(&current);
-        if violations.is_empty() {
-            println!(
-                "perf gate PASSED: plan >= {WALLBENCH_MIN_SPEEDUP:.1}x over the interpreter \
-                 at every covered thread count, all cells bit-identical"
-            );
-        } else {
-            for v in &violations {
-                eprintln!("FAIL: {v}");
-            }
-            std::process::exit(1);
-        }
-    } else if divergences > 0 {
+    gate_main(&args, &current);
+    if divergences > 0 {
         eprintln!("wallbench: {divergences} cell(s) diverged between interpreter and plan");
         std::process::exit(1);
-    } else {
-        println!("all cells bit-identical between interpreter and plan");
     }
-    if args.check && divergences > 0 {
-        // compare() already reported these, but belt-and-braces: a
-        // divergence must fail even if the baseline file was stale.
-        std::process::exit(1);
-    }
+    println!("all cells bit-identical between interpreter and plan");
 }

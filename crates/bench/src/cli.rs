@@ -39,12 +39,14 @@ pub struct Args {
     /// `--batch B`: instances per batch for the batch harness.
     pub batch: Option<usize>,
     /// `--check`: compare results against the checked-in baseline and
-    /// exit nonzero on regression (the CI perf gate).
+    /// exit nonzero on regression (the CI perf gate). With
+    /// `--write-baseline`, the check runs against the file as it was
+    /// before the refresh.
     pub check: bool,
     /// `--write-baseline`: regenerate the checked-in baseline file.
     pub write_baseline: bool,
-    /// `--baseline PATH`: baseline file override (default
-    /// `BENCH_batch.json` at the repo root).
+    /// `--baseline PATH`: baseline file override (default: the gate's
+    /// own committed `BENCH_<gate>.json` at the repo root).
     pub baseline: Option<String>,
     /// `--emit-rust`: print fitted cost models as a Rust literal
     /// (`bench calibrate`).

@@ -5,11 +5,11 @@
 //! its own record-exists follow-up. Every new gate meant editing the
 //! workflow in three places, and a local "run what CI runs" required
 //! copying commands out of YAML. This module makes the registry a Rust
-//! table: [`GATES`] lists every gate with its binary, arguments,
-//! committed baseline, and expected experiment record, and
-//! [`run_gates`] executes them with one pass/fail summary — the
-//! `bench gate --all` CI step and the local pre-push check are now the
-//! same command.
+//! table: [`GATES`] lists every gate with its check arguments and its
+//! schema (binary, committed baseline, volatile keys — see
+//! [`crate::baseline`]), and [`run_gates`] executes them with one
+//! pass/fail summary — the `bench gate --all` CI step and the local
+//! pre-push check are now the same command.
 //!
 //! Two modes:
 //! - **check** (default): run each gate binary with its `--check`
@@ -18,11 +18,16 @@
 //!   replay their full output.
 //! - **drift** (`--drift`, the weekly scheduled job): re-record each
 //!   gate's baseline into a scratch directory and diff it line-by-line
-//!   against the committed file, ignoring the gate's volatile
-//!   (machine-dependent wall-clock) keys. This catches *silent* baseline
-//!   drift — modeled costs that moved within the ±10% gate tolerance and
-//!   would otherwise compound unnoticed across PRs.
+//!   against the committed file, ignoring the volatile
+//!   (machine-dependent wall-clock) keys its schema declares. This
+//!   catches *silent* baseline drift — modeled costs that moved within
+//!   the ±10% gate tolerance and would otherwise compound unnoticed
+//!   across PRs.
 
+use crate::baseline::{
+    Baseline, BatchBaseline, GateFile, MultiIpuBaseline, PortfolioBaseline, ResolveBaseline,
+    ScaleBaseline, ServeBaseline, WallbenchBaseline,
+};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
@@ -31,92 +36,61 @@ use std::time::Instant;
 pub struct GateSpec {
     /// Display name (also the `--only` match target).
     pub name: &'static str,
-    /// The `bench` binary that implements the gate.
-    pub bin: &'static str,
     /// Arguments for check mode (always include `--check`).
     pub args: &'static [&'static str],
-    /// Committed baseline file at the repo root.
-    pub baseline: &'static str,
-    /// Experiment record the binary must leave behind.
-    pub record: &'static str,
-    /// JSON keys whose values are machine-dependent (wall clocks and
-    /// derived rates) — ignored by the drift diff.
-    pub volatile: &'static [&'static str],
+    /// The gate's schema: its binary, committed baseline file, and the
+    /// volatile keys the drift diff ignores.
+    pub schema: &'static dyn GateFile,
 }
 
-/// Volatile keys shared by the modeled-cost baselines: the gated
-/// columns are pure functions of the grid, but each entry also carries
-/// the host wall spent producing it for context.
-const WALL_KEYS: &[&str] = &["wall_seconds", "instances_per_sec"];
+impl GateSpec {
+    /// Experiment record the gate binary must leave behind.
+    pub fn record(&self) -> String {
+        format!("target/experiments/{}.json", self.schema.bin())
+    }
+}
 
 /// Every baseline gate CI runs, in execution order.
 pub const GATES: &[GateSpec] = &[
     GateSpec {
         name: "batch",
-        bin: "batch",
         args: &["--check"],
-        baseline: "BENCH_batch.json",
-        record: "target/experiments/batch.json",
-        volatile: WALL_KEYS,
+        schema: BatchBaseline::SCHEMA,
     },
     GateSpec {
         name: "multi_ipu",
-        bin: "multi_ipu",
         args: &["--check"],
-        baseline: "BENCH_multi_ipu.json",
-        record: "target/experiments/multi_ipu.json",
-        volatile: WALL_KEYS,
+        schema: MultiIpuBaseline::SCHEMA,
     },
     GateSpec {
         name: "wallbench-t1",
-        bin: "wallbench",
         args: &["--check", "--threads", "1"],
-        baseline: "BENCH_wallbench.json",
-        record: "target/experiments/wallbench.json",
-        // The whole point of wallbench is wall clocks; the gate re-derives
-        // the machine-portable speedup ratio fresh, so every recorded wall
-        // (and the ratio computed from it) is context, not contract.
-        volatile: &["interp_wall", "plan_wall", "speedup"],
+        schema: WallbenchBaseline::SCHEMA,
     },
     GateSpec {
         name: "wallbench-t8",
-        bin: "wallbench",
         args: &["--check", "--threads", "8"],
-        baseline: "BENCH_wallbench.json",
-        record: "target/experiments/wallbench.json",
-        volatile: &["interp_wall", "plan_wall", "speedup"],
+        schema: WallbenchBaseline::SCHEMA,
     },
     GateSpec {
         name: "serve",
-        bin: "serve",
         args: &["--check"],
-        baseline: "BENCH_serve.json",
-        record: "target/experiments/serve.json",
-        volatile: WALL_KEYS,
+        schema: ServeBaseline::SCHEMA,
     },
     GateSpec {
         name: "resolve",
-        bin: "resolve",
         args: &["--check"],
-        baseline: "BENCH_resolve.json",
-        record: "target/experiments/resolve.json",
-        volatile: WALL_KEYS,
+        schema: ResolveBaseline::SCHEMA,
     },
     GateSpec {
         name: "portfolio",
-        bin: "portfolio",
         args: &["--check"],
-        baseline: "BENCH_portfolio.json",
-        record: "target/experiments/portfolio.json",
-        volatile: WALL_KEYS,
+        schema: PortfolioBaseline::SCHEMA,
     },
     GateSpec {
         name: "scale",
-        bin: "scale",
         args: &["--check"],
-        baseline: "BENCH_scale.json",
-        record: "target/experiments/scale.json",
-        volatile: WALL_KEYS,
+        schema: ScaleBaseline::SCHEMA,
     },
 ];
 
@@ -151,10 +125,10 @@ pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
         // wallbench thread gates share one).
         let mut seen: Vec<&str> = Vec::new();
         for g in &selected {
-            if seen.contains(&g.baseline) {
+            if seen.contains(&g.schema.file()) {
                 continue;
             }
-            seen.push(g.baseline);
+            seen.push(g.schema.file());
             results.push(run_drift(g));
         }
     } else {
@@ -190,8 +164,9 @@ pub fn run_gates(only: Option<&str>, drift: bool) -> usize {
 /// replay output on failure, then require a non-empty experiment record.
 fn run_check(g: &GateSpec) -> GateResult {
     let start = Instant::now();
-    println!("running gate {} ({} {})", g.name, g.bin, g.args.join(" "));
-    let output = gate_command(g.bin).args(g.args).output();
+    let (bin, record) = (g.schema.bin(), g.record());
+    println!("running gate {} ({bin} {})", g.name, g.args.join(" "));
+    let output = gate_command(bin).args(g.args).output();
     let seconds = start.elapsed().as_secs_f64();
     let output = match output {
         Ok(o) => o,
@@ -199,7 +174,7 @@ fn run_check(g: &GateSpec) -> GateResult {
             return GateResult {
                 name: g.name,
                 passed: false,
-                detail: format!("could not launch {}: {e}", g.bin),
+                detail: format!("could not launch {bin}: {e}"),
                 seconds,
             }
         }
@@ -213,17 +188,17 @@ fn run_check(g: &GateSpec) -> GateResult {
             seconds,
         };
     }
-    match std::fs::metadata(g.record) {
+    match std::fs::metadata(&record) {
         Ok(m) if m.len() > 0 => GateResult {
             name: g.name,
             passed: true,
-            detail: format!("baseline {} ok", g.baseline),
+            detail: format!("baseline {} ok", g.schema.file()),
             seconds,
         },
         _ => GateResult {
             name: g.name,
             passed: false,
-            detail: format!("record {} missing or empty", g.record),
+            detail: format!("record {record} missing or empty"),
             seconds,
         },
     }
@@ -233,8 +208,9 @@ fn run_check(g: &GateSpec) -> GateResult {
 /// and diff against the committed one, skipping volatile keys.
 fn run_drift(g: &GateSpec) -> GateResult {
     let start = Instant::now();
-    println!("re-recording {} for drift check", g.baseline);
-    let scratch = PathBuf::from("target/experiments").join(format!("drift_{}", g.baseline));
+    let (bin, file) = (g.schema.bin(), g.schema.file());
+    println!("re-recording {file} for drift check");
+    let scratch = PathBuf::from("target/experiments").join(format!("drift_{file}"));
     if let Err(e) = std::fs::create_dir_all("target/experiments") {
         return GateResult {
             name: g.name,
@@ -243,7 +219,7 @@ fn run_drift(g: &GateSpec) -> GateResult {
             seconds: start.elapsed().as_secs_f64(),
         };
     }
-    let output = gate_command(g.bin)
+    let output = gate_command(bin)
         .args(["--write-baseline", "--baseline"])
         .arg(&scratch)
         .output();
@@ -254,7 +230,7 @@ fn run_drift(g: &GateSpec) -> GateResult {
             return GateResult {
                 name: g.name,
                 passed: false,
-                detail: format!("could not launch {}: {e}", g.bin),
+                detail: format!("could not launch {bin}: {e}"),
                 seconds,
             }
         }
@@ -271,13 +247,13 @@ fn run_drift(g: &GateSpec) -> GateResult {
             seconds,
         };
     }
-    let committed = match std::fs::read_to_string(g.baseline) {
+    let committed = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => {
             return GateResult {
                 name: g.name,
                 passed: false,
-                detail: format!("cannot read committed {}: {e}", g.baseline),
+                detail: format!("cannot read committed {file}: {e}"),
                 seconds,
             }
         }
@@ -293,16 +269,16 @@ fn run_drift(g: &GateSpec) -> GateResult {
             }
         }
     };
-    let diffs = diff_baselines(&committed, &fresh, g.volatile);
+    let diffs = diff_baselines(&committed, &fresh, g.schema.volatile());
     if diffs.is_empty() {
         GateResult {
             name: g.name,
             passed: true,
-            detail: format!("{} matches a fresh recording", g.baseline),
+            detail: format!("{file} matches a fresh recording"),
             seconds,
         }
     } else {
-        eprintln!("--- drift in {} ---", g.baseline);
+        eprintln!("--- drift in {file} ---");
         for d in &diffs {
             eprintln!("  {d}");
         }
@@ -391,24 +367,42 @@ mod tests {
 
     #[test]
     fn registry_covers_every_committed_baseline() {
-        // Every gate's baseline and record paths are well-formed, names
-        // are unique, and check args always include --check.
+        // Every gate's baseline path is well-formed, names are unique,
+        // and check args always include --check.
         let mut names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), GATES.len(), "duplicate gate names");
         for g in GATES {
             assert!(g.args.contains(&"--check"), "{}: no --check", g.name);
-            assert!(g.baseline.starts_with("BENCH_"), "{}", g.name);
-            assert!(g.record.starts_with("target/experiments/"), "{}", g.name);
-            assert!(g.record.ends_with(".json"), "{}", g.name);
+            assert!(g.schema.file().starts_with("BENCH_"), "{}", g.name);
+        }
+    }
+
+    #[test]
+    fn committed_baselines_pass_their_own_gate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for g in GATES {
+            let path = root.join(g.schema.file());
+            let violations = g.schema.self_check(&path).unwrap();
+            assert!(violations.is_empty(), "{}: {violations:?}", g.name);
+            // A renamed wall key would silently become gated in --drift.
+            let text = std::fs::read_to_string(&path).unwrap();
+            for key in g.schema.volatile() {
+                let quoted = format!("\"{key}\":");
+                assert!(
+                    text.contains(&quoted),
+                    "{}: volatile {key} not in file",
+                    g.name
+                );
+            }
         }
     }
 
     #[test]
     fn identical_files_do_not_drift() {
         let text = "{\n  \"a\": 1,\n  \"wall_seconds\": 0.5\n}\n";
-        assert!(diff_baselines(text, text, WALL_KEYS).is_empty());
+        assert!(diff_baselines(text, text, &["wall_seconds", "instances_per_sec"]).is_empty());
     }
 
     #[test]
@@ -417,14 +411,16 @@ mod tests {
             "{\n  \"cycles\": 100,\n  \"wall_seconds\": 0.5,\n  \"instances_per_sec\": 10.0\n}\n";
         let fresh =
             "{\n  \"cycles\": 100,\n  \"wall_seconds\": 0.9,\n  \"instances_per_sec\": 4.4\n}\n";
-        assert!(diff_baselines(committed, fresh, WALL_KEYS).is_empty());
+        assert!(
+            diff_baselines(committed, fresh, &["wall_seconds", "instances_per_sec"]).is_empty()
+        );
     }
 
     #[test]
     fn gated_value_changes_are_reported() {
         let committed = "{\n  \"cycles\": 100,\n  \"wall_seconds\": 0.5\n}\n";
         let fresh = "{\n  \"cycles\": 140,\n  \"wall_seconds\": 0.5\n}\n";
-        let diffs = diff_baselines(committed, fresh, WALL_KEYS);
+        let diffs = diff_baselines(committed, fresh, &["wall_seconds", "instances_per_sec"]);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].contains("\"cycles\": 100"), "{diffs:?}");
         assert!(diffs[0].contains("\"cycles\": 140"), "{diffs:?}");
@@ -434,7 +430,7 @@ mod tests {
     fn added_or_removed_lines_are_reported() {
         let committed = "{\n  \"cycles\": 100\n}\n";
         let fresh = "{\n  \"cycles\": 100,\n  \"extra\": 1\n}\n";
-        let diffs = diff_baselines(committed, fresh, WALL_KEYS);
+        let diffs = diff_baselines(committed, fresh, &["wall_seconds", "instances_per_sec"]);
         assert!(!diffs.is_empty());
         assert!(
             diffs.iter().any(|d| d.contains("line count changed")),

@@ -19,11 +19,11 @@ pub mod runners;
 pub mod serve_load;
 
 pub use baseline::{
-    BaselineEntry, BatchBaseline, MeasuredCost, MultiIpuBaseline, MultiIpuEntry, PortfolioBaseline,
-    PortfolioEntry, ResolveBaseline, ResolveEntry, ScaleBaseline, ScaleEntry, ServeBaseline,
-    WallbenchBaseline, WallbenchEntry, CYCLE_TOLERANCE, MULTI_IPU_MIN_IMPROVEMENT,
-    PORTFOLIO_MAX_REGRET, RESOLVE_MIN_SPEEDUP, SCALE_SPARSE_FLOOR_MIN_N, SCALE_SPARSE_MIN_SPEEDUP,
-    WALLBENCH_MIN_SPEEDUP,
+    compare, gate_main, load, save, Baseline, BaselineEntry, BatchBaseline, MeasuredCost,
+    MultiIpuBaseline, MultiIpuEntry, PortfolioBaseline, PortfolioEntry, ResolveBaseline,
+    ResolveEntry, ScaleBaseline, ScaleEntry, ServeBaseline, WallbenchBaseline, WallbenchEntry,
+    CYCLE_TOLERANCE, MULTI_IPU_MIN_IMPROVEMENT, PORTFOLIO_MAX_REGRET, RESOLVE_MIN_SPEEDUP,
+    SCALE_SPARSE_FLOOR_MIN_N, SCALE_SPARSE_MIN_SPEEDUP, WALLBENCH_MIN_SPEEDUP,
 };
 pub use cli::Args;
 pub use gates::{diff_baselines, run_gates, GateSpec, GATES};

@@ -17,13 +17,13 @@
 //!    the measured oracle in every cell — the same bound `bench
 //!    portfolio --check` enforces, evaluated from the committed data.
 
-use bench::{PortfolioBaseline, PORTFOLIO_MAX_REGRET};
+use bench::{load, PortfolioBaseline, PORTFOLIO_MAX_REGRET};
 use lsap::portfolio::{InstanceShape, PortfolioTable};
 use std::path::Path;
 
 fn committed() -> PortfolioBaseline {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_portfolio.json");
-    PortfolioBaseline::load(&path).expect("BENCH_portfolio.json is committed at the repo root")
+    load(&path).expect("BENCH_portfolio.json is committed at the repo root")
 }
 
 #[test]
