@@ -123,6 +123,12 @@ pub(crate) struct Ts {
     pub vm: Option<Tensor>,
     /// Per-row uncovered minima, f32 `n` (tiled Step 6 accumulator).
     pub rowacc: Option<Tensor>,
+    /// Collector flag (tiled mode): Step 6 moved the duals since the
+    /// resident zero lists were last built from the streamed matrix.
+    pub lists_stale: Option<Tensor>,
+    /// Collector flag (tiled mode): this search iteration cannot be
+    /// decided from the zero lists and streams the matrix.
+    pub rescan: Option<Tensor>,
     /// Collector flag: Step 6's δ was finite, so the dual update may run.
     pub delta_ok: Option<Tensor>,
     /// Collector flag: the candidate graph admits no perfect matching
@@ -263,6 +269,8 @@ impl Builder {
         let mut host_cost = None;
         let mut vm = None;
         let mut rowacc = None;
+        let mut lists_stale = None;
+        let mut rescan = None;
         let mut delta_ok = None;
         let mut infeasible = None;
         match storage {
@@ -283,6 +291,12 @@ impl Builder {
                     g.map_slice(t.slice(l.rows_of_tile(tile)), tile)?;
                 }
                 rowacc = Some(t);
+                let stale = g.add_tensor("lists_stale", DType::I32, 1);
+                let scan = g.add_tensor("rescan", DType::I32, 1);
+                g.map_to_tile(stale, c)?;
+                g.map_to_tile(scan, c)?;
+                lists_stale = Some(stale);
+                rescan = Some(scan);
             }
         }
         if storage != Storage::Dense {
@@ -338,6 +352,8 @@ impl Builder {
             host_cost,
             vm,
             rowacc,
+            lists_stale,
+            rescan,
             delta_ok,
             infeasible,
         };

@@ -76,9 +76,10 @@ pub struct HunIpu {
 pub const TILED_BLOCK_COLS: usize = 512;
 
 /// Default zero-list capacity per row for [`LayoutMode::Tiled`] — the
-/// bounded Step 2 warm-start lists (the search loop itself rescans
-/// streamed blocks, so truncation only costs iterations, never
-/// correctness).
+/// resident lists Step 2 and the Step 4 search scan. A row with more
+/// zeros keeps its first `TILED_ZCAP`; when all of those are covered the
+/// search streams the matrix to look past them, so truncation costs
+/// streams, never correctness.
 pub const TILED_ZCAP: usize = 8;
 
 impl Default for HunIpu {
@@ -608,8 +609,10 @@ impl HunIpu {
     /// slack would blow the per-tile budget still compile and solve.
     ///
     /// Costs must be integers with magnitude below 2^24: the streamed
-    /// slack `c − u − v` is recomputed in f32 every sweep, and integer
-    /// arithmetic is what keeps those recomputations exact (the same
+    /// slack `c − u − v` is recomputed in f32 on every sweep — the three
+    /// set-up sweeps, and in the search each time the resident zero
+    /// lists cannot decide an iteration — and integer arithmetic is what
+    /// keeps those recomputations exact (the same
     /// contract [`datasets::f32_exact`] documents for the dense path,
     /// hardened here into a precondition because zero-detection drives
     /// the search).

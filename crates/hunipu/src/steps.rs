@@ -5,12 +5,24 @@ use crate::ablation::PrimeMode;
 use crate::build::{Builder, Storage};
 use ipu_sim::kernels;
 use ipu_sim::poplib::{reduce_columns_mirrored, reduce_columns_mirrored_hier, ReduceOp};
-use ipu_sim::{cost, Access, DType, GraphError, Program};
+use ipu_sim::{cost, Access, ComputeSetId, DType, GraphError, Program, Tensor, VertexId};
 
 /// Bits of the row index inside the Step 4 arg-max encoding; supports
 /// n < 2^24 (the paper's largest instance is 2^13).
 const ENC_SHIFT: u32 = 24;
 const ENC_MASK: i32 = (1 << ENC_SHIFT) - 1;
+
+/// Step 4 status of a row the tiled zero lists cannot classify: its list
+/// is full and has no uncovered entry, so an uncovered zero may lie past
+/// the list's end. It out-ranks every decided status (−1/0/1) in the
+/// arg-max, so one such row makes the iteration stream the matrix.
+const UNRESOLVED: i32 = 2;
+
+/// Step 4's arg-max key of `row` in `status`: the highest status wins,
+/// ties go to the lowest row.
+fn enc_key(status: i32, row: i32) -> i32 {
+    ((status + 1) << ENC_SHIFT) | (ENC_MASK - row)
+}
 
 impl Builder {
     /// Step 1 (§IV-C): subtract row minima then column minima from the
@@ -607,7 +619,7 @@ impl Builder {
     /// (−1).
     pub fn frag_search_loop(&mut self, compress: &Program) -> Result<Program, GraphError> {
         let l = self.l.clone();
-        let (n, th) = (l.n, l.threads);
+        let n = l.n;
         let t_searching = self.t.searching;
 
         // --- cover-mirror refresh ---
@@ -627,67 +639,16 @@ impl Builder {
         };
 
         // --- Step 4: row status over the compressed matrix ---
-        let (t_comp, t_rcov, t_rstar) = (self.t.compress, self.t.row_cover, self.t.row_star);
-        let (t_zs, t_rzc, t_enc, t_ccm) = (
-            self.t.zero_status,
-            self.t.row_zero_col,
-            self.t.enc,
-            self.t.ccm,
-        );
-        let use_compression = self.ab.compression;
-        let t_slack = self.t.slack;
+        let (t_rcov, t_rstar, t_slack, t_ccm) =
+            (self.t.row_cover, self.t.row_star, self.t.slack, self.t.ccm);
         let cs_status = self.g.add_compute_set("step4.status");
         for row in 0..n {
-            let tile = l.tile_of_row(row);
-            let row_i = row as i32;
-            let v = if use_compression {
-                let seg_bounds: Vec<(usize, usize)> = (0..th)
-                    .map(|s| {
-                        let c = l.seg_cols(s);
-                        (c.start, c.end)
-                    })
-                    .collect();
-                let v = self.g.add_vertex(cs_status, tile, "status", move |ctx| {
-                    let covered = ctx.i32(0)[0] != 0;
-                    let star = ctx.i32(1)[0];
-                    let comp = ctx.i32(2);
-                    let ccm = ctx.i32(3);
-                    let mut scanned = 0u64;
-                    let mut zcol = -1;
-                    if !covered {
-                        'outer: for &(s0, s1) in &seg_bounds {
-                            for k in s0..s1 {
-                                scanned += 1;
-                                let c = comp[k];
-                                if c < 0 {
-                                    break; // compacted: no more zeros in seg
-                                }
-                                if ccm[c as usize] == 0 {
-                                    zcol = c;
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                    let status: i32 = if zcol < 0 {
-                        -1
-                    } else if star == -1 {
-                        1
-                    } else {
-                        0
-                    };
-                    ctx.i32_mut(4)[0] = status;
-                    ctx.i32_mut(5)[0] = zcol;
-                    ctx.i32_mut(6)[0] = ((status + 1) << ENC_SHIFT) | (ENC_MASK - row_i);
-                    cost::i32_scan(scanned as usize) + cost::scalar(6)
-                })?;
-                self.g.connect(v, t_rcov.element(row), Access::Read)?;
-                self.g.connect(v, t_rstar.element(row), Access::Read)?;
-                self.g
-                    .connect(v, t_comp.slice(l.row_range(row)), Access::Read)?;
-                v
+            let v = if self.ab.compression {
+                self.list_status_vertex(cs_status, row, false)?
             } else {
                 // Ablation A2: no compression — scan the raw slack row.
+                let tile = l.tile_of_row(row);
+                let row_i = row as i32;
                 let v = self
                     .g
                     .add_vertex(cs_status, tile, "status_raw", move |ctx| {
@@ -713,43 +674,20 @@ impl Builder {
                         };
                         ctx.i32_mut(4)[0] = status;
                         ctx.i32_mut(5)[0] = zcol;
-                        ctx.i32_mut(6)[0] = ((status + 1) << ENC_SHIFT) | (ENC_MASK - row_i);
+                        ctx.i32_mut(6)[0] = enc_key(status, row_i);
                         cost::f32_scan(slack.len()) + cost::scalar(6)
                     })?;
                 self.g.connect(v, t_rcov.element(row), Access::Read)?;
                 self.g.connect(v, t_rstar.element(row), Access::Read)?;
                 self.g
                     .connect(v, t_slack.slice(l.row_range(row)), Access::Read)?;
+                self.g.connect(v, t_ccm.whole(), Access::Read)?;
                 v
             };
-            self.g.connect(v, t_ccm.whole(), Access::Read)?;
-            self.g.connect(v, t_zs.element(row), Access::Write)?;
-            self.g.connect(v, t_rzc.element(row), Access::Write)?;
-            self.g.connect(v, t_enc.element(row), Access::Write)?;
+            self.connect_status_outputs(v, row)?;
         }
-        let (enc_out, enc_prog) = self.reduce_scalar("step4.enc", t_enc, ReduceOp::Max)?;
-
-        // Decode: status and selected row.
-        let (t_st1, t_st0, t_sel_row) = (self.t.st1, self.t.st0, self.t.sel_row);
-        let cs_decode = self.g.add_compute_set("step4.decode");
-        self.collector_vertex(
-            cs_decode,
-            "decode",
-            vec![
-                (enc_out.whole(), Access::Read),
-                (t_st1.whole(), Access::Write),
-                (t_st0.whole(), Access::Write),
-                (t_sel_row.whole(), Access::Write),
-            ],
-            |ctx| {
-                let e = ctx.i32(0)[0];
-                let status = (e >> ENC_SHIFT) - 1;
-                ctx.i32_mut(1)[0] = i32::from(status == 1);
-                ctx.i32_mut(2)[0] = i32::from(status == 0);
-                ctx.i32_mut(3)[0] = ENC_MASK - (e & ENC_MASK);
-                cost::scalar(5)
-            },
-        )?;
+        let (enc_out, enc_prog) = self.reduce_scalar("step4.enc", self.t.enc, ReduceOp::Max)?;
+        let cs_decode = self.decode_set(enc_out)?;
 
         let (augment, prime) = self.frag_augment_and_prime()?;
         let step6 = self.frag_step6(compress)?;
@@ -768,6 +706,125 @@ impl Builder {
             dispatch,
         ]);
         Ok(Program::while_true(t_searching, body))
+    }
+
+    /// One row's Step 4 status vertex over its compressed zero list
+    /// (§IV-F), shared by the dense, sparse and tiled programs: the first
+    /// uncovered zero of an uncovered row, scanned in ascending column
+    /// order one compacted (−1 padded) thread segment at a time, makes
+    /// the row 1 (no star: augment) or 0 (prime); no such zero makes it
+    /// −1. A `truncated` list holds only the first zeros of the row
+    /// (tiled mode): when it is full and has no uncovered entry the row
+    /// is [`UNRESOLVED`] instead of −1.
+    fn list_status_vertex(
+        &mut self,
+        cs: ComputeSetId,
+        row: usize,
+        truncated: bool,
+    ) -> Result<VertexId, GraphError> {
+        let l = &self.l;
+        let tile = l.tile_of_row(row);
+        let row_i = row as i32;
+        let row_range = l.row_range(row);
+        let seg_bounds: Vec<(usize, usize)> = (0..l.threads)
+            .map(|s| {
+                let c = l.seg_cols(s);
+                (c.start, c.end)
+            })
+            .collect();
+        let v = self.g.add_vertex(cs, tile, "status", move |ctx| {
+            let covered = ctx.i32(0)[0] != 0;
+            let star = ctx.i32(1)[0];
+            let comp = ctx.i32(2);
+            let ccm = ctx.i32(3);
+            let mut scanned = 0u64;
+            let mut zcol = -1;
+            if !covered {
+                'outer: for &(s0, s1) in &seg_bounds {
+                    for k in s0..s1 {
+                        scanned += 1;
+                        let c = comp[k];
+                        if c < 0 {
+                            break; // compacted: no more zeros in seg
+                        }
+                        if ccm[c as usize] == 0 {
+                            zcol = c;
+                            break 'outer;
+                        }
+                    }
+                }
+            }
+            let status: i32 = if zcol >= 0 {
+                if star == -1 {
+                    1
+                } else {
+                    0
+                }
+            } else if truncated && !covered && comp[comp.len() - 1] >= 0 {
+                UNRESOLVED
+            } else {
+                -1
+            };
+            ctx.i32_mut(4)[0] = status;
+            ctx.i32_mut(5)[0] = zcol;
+            ctx.i32_mut(6)[0] = enc_key(status, row_i);
+            cost::i32_scan(scanned as usize) + cost::scalar(6)
+        })?;
+        self.g
+            .connect(v, self.t.row_cover.element(row), Access::Read)?;
+        self.g
+            .connect(v, self.t.row_star.element(row), Access::Read)?;
+        self.g
+            .connect(v, self.t.compress.slice(row_range), Access::Read)?;
+        self.g.connect(v, self.t.ccm.whole(), Access::Read)?;
+        Ok(v)
+    }
+
+    /// Connects a Step 4 status vertex's outputs for `row`: its status,
+    /// first uncovered zero column and arg-max key.
+    fn connect_status_outputs(&mut self, v: VertexId, row: usize) -> Result<(), GraphError> {
+        self.g
+            .connect(v, self.t.zero_status.element(row), Access::Write)?;
+        self.g
+            .connect(v, self.t.row_zero_col.element(row), Access::Write)?;
+        self.g.connect(v, self.t.enc.element(row), Access::Write)?;
+        Ok(())
+    }
+
+    /// Step 4's decode on the collector: the arg-max key `enc_out`
+    /// becomes the dispatch flags (`st1`: augment, `st0`: prime, neither:
+    /// Step 6) and the selected row. In tiled mode it also sets `rescan`
+    /// when the zero lists cannot decide the iteration — they are stale,
+    /// a row is [`UNRESOLVED`], or no row has an uncovered zero (Step 6
+    /// needs the streamed minima) — and consumes `lists_stale`.
+    fn decode_set(&mut self, enc_out: Tensor) -> Result<ComputeSetId, GraphError> {
+        let cs = self.g.add_compute_set("step4.decode");
+        let mut fields = vec![
+            (enc_out.whole(), Access::Read),
+            (self.t.st1.whole(), Access::Write),
+            (self.t.st0.whole(), Access::Write),
+            (self.t.sel_row.whole(), Access::Write),
+        ];
+        let lists = self.t.lists_stale.zip(self.t.rescan);
+        if let Some((stale, rescan)) = lists {
+            fields.push((stale.whole(), Access::ReadWrite));
+            fields.push((rescan.whole(), Access::Write));
+        }
+        let tiled = lists.is_some();
+        self.collector_vertex(cs, "decode", fields, move |ctx| {
+            let e = ctx.i32(0)[0];
+            let status = (e >> ENC_SHIFT) - 1;
+            ctx.i32_mut(1)[0] = i32::from(status == 1);
+            ctx.i32_mut(2)[0] = i32::from(status == 0);
+            ctx.i32_mut(3)[0] = ENC_MASK - (e & ENC_MASK);
+            if !tiled {
+                return cost::scalar(5);
+            }
+            let stale = std::mem::take(&mut ctx.i32_mut(4)[0]) != 0;
+            ctx.i32_mut(5)[0] = i32::from(stale || !(0..=1).contains(&status));
+            cost::scalar(7)
+        })?;
+        Ok(cs)
     }
 
     /// The two non-slack branches of the search loop, shared by the
@@ -1475,9 +1532,11 @@ impl Builder {
     /// 3. bounded zero lists: the first `zcap` columns per row with
     ///    `C − u − v = 0`, feeding Step 2's proposal passes.
     ///
-    /// A row with more than `zcap` zeros gets a truncated list — Step 2
-    /// then stars a subset, which only costs extra search iterations;
-    /// the search loop itself rescans streamed blocks, never the lists.
+    /// A row with more than `zcap` zeros gets a truncated list: Step 2
+    /// then stars a subset, and the search streams the matrix whenever
+    /// such a full list has no uncovered entry
+    /// ([`Builder::frag_search_loop_tiled`]). The search rebuilds the
+    /// lists in this layout after every dual update.
     fn frag_tiled_setup(&mut self, block_cols: usize, zcap: usize) -> Result<Program, GraphError> {
         let (l, n, th) = (self.l.clone(), self.l.n, self.l.threads);
         let (t_slack, t_u) = (self.t.slack, self.t.u);
@@ -1706,22 +1765,38 @@ impl Builder {
         Ok(Program::seq(prog))
     }
 
-    /// The tiled Step 4/5/6 search loop: every iteration re-streams the
-    /// cost blocks and recomputes slacks `C − u − v` on the fly (exact in
-    /// f32 for integer costs), accumulating each row's first uncovered
-    /// zero and uncovered minimum. Steps 5 (augment) and 4's priming are
-    /// the standard fragments — they touch only matching state. Step 6
-    /// applies the dual form of the slack shift (`u += δ` on uncovered
-    /// rows, `v −= δ` on covered columns), which is algebraically the
-    /// quadrant shift the dense path applies to stored slack.
-    fn frag_search_loop_tiled(&mut self, block_cols: usize) -> Result<Program, GraphError> {
-        let l = self.l.clone();
-        let n = l.n;
-        let t_searching = self.t.searching;
-        let bw = block_cols;
+    /// The tiled Step 4/5/6 search loop. Step 4 runs on the resident zero
+    /// lists: at the top of every iteration each row's list holds the
+    /// row's first `min(zeros, zcap)` zeros of the current `C − u − v`
+    /// in ascending column order, unless Step 6 has just moved the duals
+    /// (`lists_stale`). The scan is the dense status vertex; on an
+    /// ascending prefix the first uncovered entry is the row's first
+    /// uncovered zero, so it picks the row and zero a scan of the whole
+    /// matrix would.
+    ///
+    /// When the lists cannot decide the iteration ([`Builder::decode_set`]
+    /// sets `rescan`) it streams the matrix once: the sweep rebuilds the
+    /// lists and gives every row's status and uncovered minimum, and the
+    /// arg-max and decode run again on those. That happens after a dual
+    /// update, when a full list has no uncovered entry (only there can a
+    /// list miss a zero), and when no row has an uncovered zero, because
+    /// Step 6 needs the minimum. No iteration streams twice; a prime or
+    /// an augmentation that follows no dual update and meets no such
+    /// list streams nothing.
+    ///
+    /// Steps 5 (augment) and 4's priming are the standard fragments —
+    /// they touch only matching state. Step 6 applies the dual form of
+    /// the slack shift (`u += δ` on uncovered rows, `v −= δ` on covered
+    /// columns), which is algebraically the quadrant shift the dense path
+    /// applies to stored slack.
+    fn frag_search_loop_tiled(
+        &mut self,
+        block_cols: usize,
+        zcap: usize,
+    ) -> Result<Program, GraphError> {
+        let n = self.l.n;
 
-        // Cover mirror refresh (flat single-chip structure) and the
-        // column-potential mirror the on-the-fly slacks need.
+        // Cover mirror refresh (flat single-chip structure).
         let col_intervals = self.col_seg_intervals();
         let (ccg, gather_cc) =
             self.gather_to_collector("loop.ccg", self.t.col_cover, &col_intervals)?;
@@ -1729,51 +1804,97 @@ impl Builder {
             gather_cc,
             Program::broadcast(ccg.whole(), self.t.ccm.whole()),
         ]);
-        let t_vm = self.t.vm.expect("tiled storage has v_m");
-        let refresh_vm = Program::broadcast(self.t.v.whole(), t_vm.whole());
 
-        let (t_slack, t_u, t_ccm) = (self.t.slack, self.t.u, self.t.ccm);
-        let (t_rcov, t_rstar) = (self.t.row_cover, self.t.row_star);
-        let (t_zs, t_rzc, t_enc) = (self.t.zero_status, self.t.row_zero_col, self.t.enc);
-        let t_acc = self.t.rowacc.expect("tiled storage has rowacc");
+        let cs_status = self.g.add_compute_set("step4.status");
+        for row in 0..n {
+            let v = self.list_status_vertex(cs_status, row, true)?;
+            self.connect_status_outputs(v, row)?;
+        }
+        let (enc_out, enc_prog) = self.reduce_scalar("step4.enc", self.t.enc, ReduceOp::Max)?;
+        let cs_decode = self.decode_set(enc_out)?;
+        let decide = Program::seq(vec![enc_prog, Program::execute(cs_decode)]);
+        let sweep = self.frag_tiled_sweep(block_cols, zcap)?;
+
+        let (augment, prime) = self.frag_augment_and_prime()?;
+        let step6 = self.frag_step6_tiled()?;
+        let dispatch = Program::if_else(
+            self.t.st1,
+            augment,
+            Program::if_else(self.t.st0, prime, step6),
+        );
+
+        let rescan = self.t.rescan.expect("tiled storage has rescan");
+        let body = Program::seq(vec![
+            refresh_ccm,
+            Program::execute(cs_status),
+            decide.clone(),
+            Program::if_true(rescan, Program::seq(vec![sweep, decide])),
+            dispatch,
+        ]);
+        Ok(Program::while_true(self.t.searching, body))
+    }
+
+    /// The tiled search's streamed sweep: one pass over the cost blocks
+    /// that recomputes `C − u − v` against the current duals (exact in
+    /// f32 for integer costs). Per row it rebuilds the zero list — the
+    /// first `zcap` zeros in ascending column order, `zero_count` slot 0
+    /// as the cursor, the layout [`Builder::frag_tiled_setup`] builds —
+    /// and, for an uncovered row, finds the first uncovered zero and the
+    /// uncovered minimum. The last block's vertices turn those into the
+    /// row's status and arg-max key; covered rows stay −1, as in dense.
+    fn frag_tiled_sweep(&mut self, block_cols: usize, zcap: usize) -> Result<Program, GraphError> {
+        let (th, bw) = (self.l.threads, block_cols);
+        let t = self.t.clone();
+        let t_vm = t.vm.expect("tiled storage has v_m");
+        let t_acc = t.rowacc.expect("tiled storage has rowacc");
         let chunks = self.tile_thread_chunks();
         let blocks = self.block_ranges(bw);
 
-        // Reset the per-row sweep accumulators.
-        let cs_sweep = self.g.add_compute_set("step4.sweepinit");
-        for (tile, t, chunk) in &chunks {
+        let cs_init = self.g.add_compute_set("step4.sweepinit");
+        for (tile, thread, chunk) in &chunks {
             let v = self
                 .g
-                .add_vertex_on_thread(cs_sweep, *tile, *t, "sweepinit", |ctx| {
+                .add_vertex_on_thread(cs_init, *tile, *thread, "sweepinit", |ctx| {
                     let mut rzc = ctx.i32_mut(0);
-                    for x in rzc.iter_mut() {
-                        *x = -1;
-                    }
+                    rzc.iter_mut().for_each(|x| *x = -1);
                     let mut acc = ctx.f32_mut(1);
-                    for x in acc.iter_mut() {
-                        *x = f32::INFINITY;
-                    }
-                    cost::i32_update(rzc.len()) + cost::f32_update(acc.len())
+                    acc.iter_mut().for_each(|x| *x = f32::INFINITY);
+                    let mut comp = ctx.i32_mut(2);
+                    comp.iter_mut().for_each(|x| *x = -1);
+                    let mut zc = ctx.i32_mut(3);
+                    zc.iter_mut().for_each(|x| *x = 0);
+                    cost::i32_update(rzc.len() + comp.len() + zc.len())
+                        + cost::f32_update(acc.len())
                 })?;
             self.g
-                .connect(v, t_rzc.slice(chunk.clone()), Access::Write)?;
+                .connect(v, t.row_zero_col.slice(chunk.clone()), Access::Write)?;
             self.g
                 .connect(v, t_acc.slice(chunk.clone()), Access::Write)?;
+            self.g.connect(
+                v,
+                t.compress.slice(chunk.start * zcap..chunk.end * zcap),
+                Access::Write,
+            )?;
+            self.g.connect(
+                v,
+                t.zero_count.slice(chunk.start * th..chunk.end * th),
+                Access::Write,
+            )?;
         }
 
-        // Streamed scan: first uncovered zero (ascending column order —
-        // the same deterministic choice as the dense compressed scan) and
-        // the uncovered minimum, per row.
-        let mut scan = vec![Program::execute(cs_sweep)];
+        let mut prog = vec![
+            Program::broadcast(t.v.whole(), t_vm.whole()),
+            Program::execute(cs_init),
+        ];
         for (b, cols) in blocks.iter().enumerate() {
-            let bc = cols.len();
-            let c0 = cols.start;
+            let (bc, c0) = (cols.len(), cols.start);
+            let last = b + 1 == blocks.len();
             let cs = self.g.add_compute_set(&format!("step4.scan[{b}]"));
-            for (tile, t, chunk) in &chunks {
-                let rows_here = chunk.len();
+            for (tile, thread, chunk) in &chunks {
+                let (rows_here, row0) = (chunk.len(), chunk.start as i32);
                 let v = self
                     .g
-                    .add_vertex_on_thread(cs, *tile, *t, "scan", move |ctx| {
+                    .add_vertex_on_thread(cs, *tile, *thread, "scan", move |ctx| {
                         let rcov = ctx.i32(0);
                         let work = ctx.f32(1);
                         let u = ctx.f32(2);
@@ -1781,121 +1902,104 @@ impl Builder {
                         let ccm = ctx.i32(4);
                         let mut rzc = ctx.i32_mut(5);
                         let mut acc = ctx.f32_mut(6);
+                        let mut comp = ctx.i32_mut(7);
+                        let mut zc = ctx.i32_mut(8);
                         let mut scanned = 0usize;
                         for r in 0..rows_here {
-                            if rcov[r] != 0 {
-                                continue;
-                            }
+                            let open_row = rcov[r] == 0;
                             let (mut z, mut m) = (rzc[r], acc[r]);
+                            let mut cnt = zc[r * th] as usize;
                             for j in 0..bc {
                                 let c = c0 + j;
-                                if ccm[c] != 0 {
-                                    continue;
+                                let open = open_row && ccm[c] == 0;
+                                // Full list and no minimum to take: a
+                                // covered row is done.
+                                if !open && cnt == zcap {
+                                    if open_row {
+                                        continue;
+                                    }
+                                    break;
                                 }
                                 scanned += 1;
                                 let s = work[r * bw + j] - u[r] - vm[c];
-                                if s == 0.0 && z < 0 {
-                                    z = c as i32;
+                                if s == 0.0 && cnt < zcap {
+                                    comp[r * zcap + cnt] = c as i32;
+                                    cnt += 1;
                                 }
-                                m = m.min(s);
+                                if open {
+                                    if s == 0.0 && z < 0 {
+                                        z = c as i32;
+                                    }
+                                    m = m.min(s);
+                                }
                             }
                             rzc[r] = z;
                             acc[r] = m;
+                            zc[r * th] = cnt as i32;
                         }
-                        cost::f32_scan(scanned) + cost::scalar(2 * rows_here)
+                        if !last {
+                            return cost::f32_scan(scanned) + cost::scalar(2 * rows_here);
+                        }
+                        let star = ctx.i32(9);
+                        let mut zs = ctx.i32_mut(10);
+                        let mut enc = ctx.i32_mut(11);
+                        for r in 0..rows_here {
+                            let status = if rzc[r] < 0 {
+                                -1
+                            } else {
+                                i32::from(star[r] == -1)
+                            };
+                            zs[r] = status;
+                            enc[r] = enc_key(status, row0 + r as i32);
+                        }
+                        cost::f32_scan(scanned) + cost::scalar(6 * rows_here)
                     })?;
+                let rows = chunk.clone();
                 self.g
-                    .connect(v, t_rcov.slice(chunk.clone()), Access::Read)?;
+                    .connect(v, t.row_cover.slice(rows.clone()), Access::Read)?;
                 self.g.connect(
                     v,
-                    t_slack.slice(chunk.start * bw..chunk.end * bw),
+                    t.slack.slice(rows.start * bw..rows.end * bw),
                     Access::Read,
                 )?;
-                self.g.connect(v, t_u.slice(chunk.clone()), Access::Read)?;
+                self.g.connect(v, t.u.slice(rows.clone()), Access::Read)?;
                 self.g.connect(v, t_vm.whole(), Access::Read)?;
-                self.g.connect(v, t_ccm.whole(), Access::Read)?;
+                self.g.connect(v, t.ccm.whole(), Access::Read)?;
                 self.g
-                    .connect(v, t_rzc.slice(chunk.clone()), Access::ReadWrite)?;
+                    .connect(v, t.row_zero_col.slice(rows.clone()), Access::ReadWrite)?;
                 self.g
-                    .connect(v, t_acc.slice(chunk.clone()), Access::ReadWrite)?;
+                    .connect(v, t_acc.slice(rows.clone()), Access::ReadWrite)?;
+                self.g.connect(
+                    v,
+                    t.compress.slice(rows.start * zcap..rows.end * zcap),
+                    Access::ReadWrite,
+                )?;
+                self.g.connect(
+                    v,
+                    t.zero_count.slice(rows.start * th..rows.end * th),
+                    Access::ReadWrite,
+                )?;
+                if last {
+                    self.g
+                        .connect(v, t.row_star.slice(rows.clone()), Access::Read)?;
+                    self.g
+                        .connect(v, t.zero_status.slice(rows.clone()), Access::Write)?;
+                    self.g.connect(v, t.enc.slice(rows), Access::Write)?;
+                }
             }
-            scan.push(self.stream_block(cols, bw));
-            scan.push(Program::execute(cs));
+            prog.push(self.stream_block(cols, bw));
+            prog.push(Program::execute(cs));
         }
-
-        // Row status from the sweep results (covered rows were skipped,
-        // so their zero column stays −1 → status −1, as in dense).
-        let cs_status = self.g.add_compute_set("step4.status");
-        for row in 0..n {
-            let tile = l.tile_of_row(row);
-            let row_i = row as i32;
-            let v = self.g.add_vertex(cs_status, tile, "status", move |ctx| {
-                let star = ctx.i32(0)[0];
-                let zcol = ctx.i32(1)[0];
-                let status: i32 = if zcol < 0 {
-                    -1
-                } else if star == -1 {
-                    1
-                } else {
-                    0
-                };
-                ctx.i32_mut(2)[0] = status;
-                ctx.i32_mut(3)[0] = ((status + 1) << ENC_SHIFT) | (ENC_MASK - row_i);
-                cost::scalar(5)
-            })?;
-            self.g.connect(v, t_rstar.element(row), Access::Read)?;
-            self.g.connect(v, t_rzc.element(row), Access::Read)?;
-            self.g.connect(v, t_zs.element(row), Access::Write)?;
-            self.g.connect(v, t_enc.element(row), Access::Write)?;
-        }
-        let (enc_out, enc_prog) = self.reduce_scalar("step4.enc", t_enc, ReduceOp::Max)?;
-
-        let (t_st1, t_st0, t_sel_row) = (self.t.st1, self.t.st0, self.t.sel_row);
-        let cs_decode = self.g.add_compute_set("step4.decode");
-        self.collector_vertex(
-            cs_decode,
-            "decode",
-            vec![
-                (enc_out.whole(), Access::Read),
-                (t_st1.whole(), Access::Write),
-                (t_st0.whole(), Access::Write),
-                (t_sel_row.whole(), Access::Write),
-            ],
-            |ctx| {
-                let e = ctx.i32(0)[0];
-                let status = (e >> ENC_SHIFT) - 1;
-                ctx.i32_mut(1)[0] = i32::from(status == 1);
-                ctx.i32_mut(2)[0] = i32::from(status == 0);
-                ctx.i32_mut(3)[0] = ENC_MASK - (e & ENC_MASK);
-                cost::scalar(5)
-            },
-        )?;
-
-        let (augment, prime) = self.frag_augment_and_prime()?;
-        let step6 = self.frag_step6_tiled()?;
-
-        let dispatch = Program::if_else(
-            self.t.st1,
-            augment,
-            Program::if_else(self.t.st0, prime, step6),
-        );
-
-        let mut body = vec![refresh_ccm, refresh_vm];
-        body.extend(scan);
-        body.extend([
-            Program::execute(cs_status),
-            enc_prog,
-            Program::execute(cs_decode),
-            dispatch,
-        ]);
-        Ok(Program::while_true(t_searching, Program::seq(body)))
+        Ok(Program::seq(prog))
     }
 
-    /// Tiled Step 6: δ = min over the per-row sweep minima, then the dual
-    /// update only — no stored slack to shift, the next sweep recomputes
-    /// `C − u − v` against the new potentials. Guarded like the sparse
-    /// path: a non-finite δ latches `infeasible` and stops both loops
-    /// rather than diverging.
+    /// Tiled Step 6: δ = min over the per-row uncovered minima of this
+    /// iteration's sweep (an iteration with no uncovered zero always
+    /// streams), then the dual update only — no stored slack to shift.
+    /// The update marks the zero lists stale, so the next iteration's
+    /// sweep rebuilds them against the new potentials. Guarded like the
+    /// sparse path: a non-finite δ latches `infeasible` and stops both
+    /// loops rather than diverging.
     fn frag_step6_tiled(&mut self) -> Result<Program, GraphError> {
         let l = self.l.clone();
         let n = l.n;
@@ -1903,6 +2007,7 @@ impl Builder {
         let t_acc = t.rowacc.expect("tiled storage has rowacc");
         let t_ok = t.delta_ok.expect("tiled storage has delta_ok");
         let t_inf = t.infeasible.expect("tiled storage has infeasible");
+        let t_stale = t.lists_stale.expect("tiled storage has lists_stale");
 
         let (delta, red_prog) = self.reduce_scalar("step6.delta", t_acc, ReduceOp::Min)?;
 
@@ -1918,6 +2023,7 @@ impl Builder {
                 (t_searching.whole(), Access::ReadWrite),
                 (t_nd.whole(), Access::ReadWrite),
                 (t_ctr.whole(), Access::ReadWrite),
+                (t_stale.whole(), Access::Write),
             ],
             |ctx| {
                 let finite = ctx.f32(0)[0].is_finite();
@@ -1928,7 +2034,8 @@ impl Builder {
                     ctx.i32_mut(4)[0] = 0;
                 }
                 ctx.i32_mut(5)[0] += 1;
-                cost::scalar(6)
+                ctx.i32_mut(6)[0] = i32::from(finite);
+                cost::scalar(7)
             },
         )?;
 
@@ -1975,16 +2082,18 @@ impl Builder {
 
     /// Assembles the tiled (out-of-core) driver: streamed setup sweeps
     /// replace Step 1 and the compression passes, then the standard
-    /// Step 2/3 run over the bounded zero lists, and the outer loop runs
-    /// the streamed search. Requires `Storage::Tiled`.
+    /// Step 2/3 run over the bounded zero lists, the lists are put back
+    /// in ascending order, and the outer loop runs the list-driven
+    /// search. Requires `Storage::Tiled`.
     pub fn assemble_tiled(&mut self) -> Result<Program, GraphError> {
         let Storage::Tiled { block_cols, zcap } = self.storage else {
             panic!("assemble_tiled requires Storage::Tiled");
         };
         let setup = self.frag_tiled_setup(block_cols, zcap)?;
         let step2 = self.frag_step2()?;
+        let relist = self.frag_tiled_relist(zcap)?;
         let step3 = self.frag_step3()?;
-        let search = self.frag_search_loop_tiled(block_cols)?;
+        let search = self.frag_search_loop_tiled(block_cols, zcap)?;
 
         let t_searching = self.t.searching;
         let cs_begin = self.g.add_compute_set("begin_search");
@@ -2002,9 +2111,47 @@ impl Builder {
         Ok(Program::seq(vec![
             setup,
             step2,
+            relist,
             step3,
             Program::while_true(self.t.not_done, outer_body),
         ]))
+    }
+
+    /// Step 2 sorts every zero list descending for its proposal passes;
+    /// the tiled search scans them ascending. This reverses each row's
+    /// `zero_count` listed entries in place — the dense program's
+    /// re-compression after Step 2, without a stream.
+    fn frag_tiled_relist(&mut self, zcap: usize) -> Result<Program, GraphError> {
+        let th = self.l.threads;
+        let (t_comp, t_zc) = (self.t.compress, self.t.zero_count);
+        let cs = self.g.add_compute_set("tsetup.relist");
+        for (tile, thread, chunk) in self.tile_thread_chunks() {
+            let rows_here = chunk.len();
+            let v = self
+                .g
+                .add_vertex_on_thread(cs, tile, thread, "relist", move |ctx| {
+                    let zc = ctx.i32(0);
+                    let mut comp = ctx.i32_mut(1);
+                    let mut moved = 0;
+                    for r in 0..rows_here {
+                        let k = zc[r * th] as usize;
+                        comp[r * zcap..r * zcap + k].reverse();
+                        moved += k;
+                    }
+                    cost::i32_update(moved) + cost::scalar(rows_here)
+                })?;
+            self.g.connect(
+                v,
+                t_zc.slice(chunk.start * th..chunk.end * th),
+                Access::Read,
+            )?;
+            self.g.connect(
+                v,
+                t_comp.slice(chunk.start * zcap..chunk.end * zcap),
+                Access::ReadWrite,
+            )?;
+        }
+        Ok(Program::execute(cs))
     }
 
     /// Assembles the full driver program (§IV): steps 1–2 once, then the
