@@ -130,7 +130,7 @@ fn main() {
                 println!("\nA5 — Step 4 prime schedule, n={n}, k={k}:");
                 for (label, prime) in [
                     ("paper three-phase", PrimeMode::ThreePhase),
-                    ("fused", PrimeMode::Fused),
+                    ("batched", PrimeMode::Batched),
                 ] {
                     let ab = AblationConfig {
                         prime,

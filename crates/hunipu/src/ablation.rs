@@ -14,9 +14,9 @@
 //!   (Fig. 4) versus shipping the whole tensor to one tile per read. With
 //!   the fused prime this touches only the Step 5 reads and the augment
 //!   branch's zero-column read.
-//! - **A5 — Step 4 prime schedule.** The fused one-superstep prime (the
-//!   default) versus the paper's three-phase prime with two dynamic reads
-//!   ([`PrimeMode`]).
+//! - **A5 — Step 4 prime schedule.** The batched prime (the default:
+//!   every ready row in one superstep) versus the paper's three-phase
+//!   prime of one row with two dynamic reads ([`PrimeMode`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -34,20 +34,24 @@ pub enum DynSlice {
     SingleTileGather,
 }
 
-/// Schedule of Step 4's priming action (status 0: prime the selected
-/// row's zero, cover the row, uncover its star's column).
+/// Schedule of Step 4's priming action (status 0: prime a ready row's
+/// first uncovered zero, cover the row, uncover its star's column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PrimeMode {
-    /// One compute set after the selected-row broadcast. Row owners prime
-    /// from their tile-local `row_zero_col`; column-segment owners clear
-    /// the cover of the column whose `col_star` is the selected row (by
-    /// the star invariant `row_star[r] = j ⇔ col_star[j] = r`, the same
-    /// column the paper reads back).
+    /// Prime every ready row (status 0) at once, in one compute set after
+    /// one broadcast of the row statuses. Row owners prime from their
+    /// tile-local `row_zero_col`; column-segment owners clear the cover
+    /// of each column whose `col_star` row was primed (by the star
+    /// invariant `row_star[r] = j ⇔ col_star[j] = r`, that row's star
+    /// column). Same optimum, dual-update and augmentation counts as
+    /// priming one row per iteration, in fewer iterations; assignments
+    /// may differ on ties.
     #[default]
-    Fused,
-    /// The paper's schedule (§IV-F/G): dynamic-read the zero column and
-    /// the star column to the collector, broadcast both, then prime and
-    /// uncover in two compute sets.
+    Batched,
+    /// The paper's schedule (§IV-F/G): prime the arg-max row only.
+    /// Dynamic-read the zero column and the star column to the
+    /// collector, broadcast both, then prime and uncover in two compute
+    /// sets.
     ThreePhase,
 }
 
@@ -61,8 +65,8 @@ pub struct AblationConfig {
     pub compression: bool,
     /// Dynamic-slice strategy (§IV-G).
     pub dyn_slice: DynSlice,
-    /// Step 4 prime schedule; the paper's three-phase prime is kept as a
-    /// reference variant.
+    /// Step 4 prime schedule; the paper's three-phase single-row prime is
+    /// kept as a reference variant.
     #[serde(default)]
     pub prime: PrimeMode,
 }
@@ -72,7 +76,7 @@ impl Default for AblationConfig {
         Self {
             compression: true,
             dyn_slice: DynSlice::PartitionDistribute,
-            prime: PrimeMode::Fused,
+            prime: PrimeMode::Batched,
         }
     }
 }
@@ -102,8 +106,9 @@ mod tests {
         let c = AblationConfig::default();
         assert!(c.compression);
         assert_eq!(c.dyn_slice, DynSlice::PartitionDistribute);
-        // The one departure: the prime is fused (bit-identical results).
-        assert_eq!(c.prime, PrimeMode::Fused);
+        // The one departure: every ready row is primed per Step 4
+        // iteration (same optimum, fewer iterations).
+        assert_eq!(c.prime, PrimeMode::Batched);
     }
 
     #[test]

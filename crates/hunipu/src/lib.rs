@@ -15,9 +15,10 @@
 //!    termination.
 //! 4. **Alternating-path search** (§IV-F): each row scans only its
 //!    compressed zeros and publishes a −1/0/1 state; an arg-max reduction
-//!    selects the action. A prime (state 0) runs as one fused superstep
-//!    on tile-local state instead of the paper's two dynamic reads
-//!    ([`PrimeMode`]; same rows primed, same columns uncovered).
+//!    selects the action. When no row can augment, every row in state 0
+//!    is primed at once in one superstep on tile-local state, instead of
+//!    the paper's one row per iteration with two dynamic reads
+//!    ([`PrimeMode`]; same optimum, fewer iterations).
 //! 5. **Path augmentation** (§IV-G): the alternating path is recorded in
 //!    the `green_column` stack, with every runtime-index access built as
 //!    a partition-and-distribute dynamic slice (Fig. 4); the flip then

@@ -829,9 +829,9 @@ impl Builder {
 
     /// The two non-slack branches of the search loop, shared by the
     /// dense, sparse, seeded and tiled programs: Step 5's augmentation
-    /// (status 1) and Step 4's priming (status 0). Both start from the
-    /// selected row's broadcast; only the augmentation needs the row's
-    /// zero column on the collector, so only it runs that dynamic read.
+    /// (status 1) and Step 4's priming (status 0). The augmentation starts
+    /// from the selected row's broadcast and reads its zero column to the
+    /// collector; the batched prime needs neither.
     fn frag_augment_and_prime(&mut self) -> Result<(Program, Program), GraphError> {
         let row_intervals = self.row_block_intervals(1);
         let bcast_row = Program::broadcast(self.t.sel_row.whole(), self.t.sel_row_m.whole());
@@ -841,9 +841,9 @@ impl Builder {
             self.t.sel_row_m,
             &row_intervals,
         )?;
-        let get_sel_col = Program::seq(vec![bcast_row.clone(), read_rzc]);
+        let get_sel_col = Program::seq(vec![bcast_row, read_rzc]);
         let prime = match self.ab.prime {
-            PrimeMode::Fused => self.frag_prime_fused(bcast_row, &row_intervals)?,
+            PrimeMode::Batched => self.frag_prime_batched(&row_intervals)?,
             PrimeMode::ThreePhase => {
                 self.frag_prime_three_phase(get_sel_col.clone(), rzc_out, &row_intervals)?
             }
@@ -852,36 +852,44 @@ impl Builder {
         Ok((augment, prime))
     }
 
-    /// Step 4's priming action (status 0) in ONE compute superstep after
-    /// the selected-row broadcast: prime the zero, cover its row, uncover
-    /// its star's column (§IV-F) — every operand is already tile-local.
-    /// The row owner holds `row_zero_col[r]` (exactly what the paper's
-    /// first dynamic read fetches); each column-segment owner clears the
-    /// cover of its column `j` with `col_star[j] == r`, which by the star
-    /// invariant `row_star[r] = j ⇔ col_star[j] = r` (kept by Steps 2 and
-    /// 5) is the column the paper's second dynamic read fetches.
-    fn frag_prime_fused(
+    /// Step 4's priming action (status 0) for EVERY ready row in one
+    /// compute superstep (§IV-F, DESIGN §15). The branch runs only when no
+    /// row has status 1, so a row with status 0 is an uncovered starred
+    /// row with an uncovered zero. Its owner primes that zero from the
+    /// tile-local `row_zero_col` and covers the row. Each column-segment
+    /// owner uncovers its column `j` when the row `col_star[j]` was
+    /// primed: by the star invariant `row_star[r] = j ⇔ col_star[j] = r`
+    /// (kept by Steps 2 and 5) that is the primed row's star column.
+    /// Those owners see every row's status through one broadcast of
+    /// `zero_status` into the cover mirror `ccm`, which nothing reads
+    /// again before the next iteration refreshes it. A corrupted
+    /// `col_star` entry outside `0..n` uncovers nothing.
+    fn frag_prime_batched(
         &mut self,
-        bcast_row: Program,
         row_intervals: &[(std::ops::Range<usize>, usize)],
     ) -> Result<Program, GraphError> {
         let l = self.l.clone();
-        let t_selr_m = self.t.sel_row_m;
-        let (t_rzc, t_prime, t_rcov) = (self.t.row_zero_col, self.t.row_prime, self.t.row_cover);
-        let (t_cstar, t_ccov) = (self.t.col_star, self.t.col_cover);
+        let (t_zs, t_rzc) = (self.t.zero_status, self.t.row_zero_col);
+        let (t_prime, t_rcov) = (self.t.row_prime, self.t.row_cover);
+        let (t_cstar, t_ccov, t_ccm) = (self.t.col_star, self.t.col_cover, self.t.ccm);
         let cs = self.g.add_compute_set("step4.prime");
         for (range, tile) in row_intervals {
-            let (s0, s1) = (range.start, range.end);
-            let v = self.g.add_vertex(cs, *tile, "prime", move |ctx| {
-                let r = ctx.i32(0)[0] as usize;
-                if r >= s0 && r < s1 {
-                    let j = ctx.i32(1)[r - s0];
-                    ctx.i32_mut(2)[r - s0] = j;
-                    ctx.i32_mut(3)[r - s0] = 1;
+            let v = self.g.add_vertex(cs, *tile, "prime", |ctx| {
+                let status = ctx.i32(0);
+                let zcol = ctx.i32(1);
+                let mut prime = ctx.i32_mut(2);
+                let mut cov = ctx.i32_mut(3);
+                let mut primed = 0;
+                for (i, &st) in status.iter().enumerate() {
+                    if st == 0 {
+                        prime[i] = zcol[i];
+                        cov[i] = 1;
+                        primed += 1;
+                    }
                 }
-                cost::scalar(5)
+                cost::i32_scan(status.len()) + cost::i32_update(2 * primed)
             })?;
-            self.g.connect(v, t_selr_m.whole(), Access::Read)?;
+            self.g.connect(v, t_zs.slice(range.clone()), Access::Read)?;
             self.g
                 .connect(v, t_rzc.slice(range.clone()), Access::Read)?;
             self.g
@@ -892,23 +900,30 @@ impl Builder {
         for seg in 0..l.n_col_segs() {
             let tile = l.col_seg_tile(seg);
             let cols = l.col_seg_cols(seg);
-            let v = self.g.add_vertex(cs, tile, "uncover", move |ctx| {
-                let r = ctx.i32(0)[0];
+            let v = self.g.add_vertex(cs, tile, "uncover", |ctx| {
+                let status = ctx.i32(0);
                 let star = ctx.i32(1);
                 let mut cov = ctx.i32_mut(2);
-                for (c, &s) in star.iter().enumerate() {
-                    if s == r {
+                for (c, &r) in star.iter().enumerate() {
+                    let primed = usize::try_from(r)
+                        .ok()
+                        .and_then(|r| status.get(r))
+                        .is_some_and(|&st| st == 0);
+                    if primed {
                         cov[c] = 0;
                     }
                 }
-                cost::i32_scan(star.len()) + cost::scalar(1)
+                cost::i32_scan(2 * star.len())
             })?;
-            self.g.connect(v, t_selr_m.whole(), Access::Read)?;
+            self.g.connect(v, t_ccm.whole(), Access::Read)?;
             self.g
                 .connect(v, t_cstar.slice(cols.clone()), Access::Read)?;
             self.g.connect(v, t_ccov.slice(cols), Access::ReadWrite)?;
         }
-        Ok(Program::seq(vec![bcast_row, Program::execute(cs)]))
+        Ok(Program::seq(vec![
+            Program::broadcast(t_zs.whole(), t_ccm.whole()),
+            Program::execute(cs),
+        ]))
     }
 
     /// The paper's three-phase priming action (§IV-F/G), kept as the

@@ -1,39 +1,26 @@
-//! Differential tests for the fused Step 4 prime: the default
-//! one-superstep prime must leave every solve output bit-identical to
-//! the paper's three-phase prime ([`PrimeMode::ThreePhase`]) on every
+//! Differential tests for the batched Step 4 prime: the default prime
+//! (every ready row in one fused superstep) against the paper's
+//! single-row three-phase prime ([`PrimeMode::ThreePhase`]) on every
 //! program that runs the search loop — dense, seeded re-solve, sparse,
-//! tiled and chip-aware — while executing at most six compute
-//! supersteps per prime iteration and none of the `prime.star` read.
+//! tiled and chip-aware. The batched solve must verify and reach the same
+//! objective in strictly fewer Step 4 iterations and modeled cycles,
+//! with at most six compute supersteps per prime iteration and none of
+//! the three-phase prime's sets. Assignments may differ on ties.
 
 use datasets::{gaussian_cost_matrix, prune_topk};
 use hunipu::{AblationConfig, HunIpu, LayoutMode, PrimeMode, F32_VERIFY_EPS};
 use ipu_sim::{CycleStats, IpuConfig};
 use lsap::{CostMatrix, SolveReport, WarmStart};
 
-const FUSED: AblationConfig = AblationConfig {
+const BATCHED: AblationConfig = AblationConfig {
     compression: true,
     dyn_slice: hunipu::DynSlice::PartitionDistribute,
-    prime: PrimeMode::Fused,
+    prime: PrimeMode::Batched,
 };
 const THREE_PHASE: AblationConfig = AblationConfig {
     prime: PrimeMode::ThreePhase,
-    ..FUSED
+    ..BATCHED
 };
-
-/// Everything the prime schedule must not change, bit-exact.
-fn outputs(rep: &SolveReport, stats: &CycleStats) -> String {
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    format!(
-        "obj={:016x} pairs={:?} u={:?} v={:?} aug={} dual={} status={}",
-        rep.objective.to_bits(),
-        rep.assignment.pairs().collect::<Vec<_>>(),
-        bits(&rep.certificate.u),
-        bits(&rep.certificate.v),
-        rep.stats.augmentations,
-        rep.stats.dual_updates,
-        executions(stats, "step4.status"),
-    )
-}
 
 fn executions(stats: &CycleStats, name: &str) -> u64 {
     stats
@@ -44,16 +31,17 @@ fn executions(stats: &CycleStats, name: &str) -> u64 {
         .sum()
 }
 
-/// Compute supersteps one prime iteration of the fused program runs: the
-/// Step 4 sets every search iteration executes (scan, arg-max, decode —
-/// each once per `step4.status`) plus the prime branch's one set. Also
-/// asserts that every other Step 4 set belongs to a different branch, so
-/// nothing uncounted hides on the prime path. The tiled program has one
-/// such branch the others lack: an iteration its zero lists cannot
-/// decide streams the matrix (`step4.sweepinit` and one `step4.scan[b]`
-/// per block) and runs the arg-max and decode once more; the count is
-/// for a prime iteration that does not stream.
-fn fused_supersteps_per_prime(rep: &SolveReport, stats: &CycleStats) -> u64 {
+/// Compute supersteps one prime iteration of the batched program runs:
+/// the Step 4 sets every search iteration executes (scan, arg-max,
+/// decode — each once per `step4.status`) plus the prime branch's one
+/// set. Also asserts that every other Step 4 set belongs to a different
+/// branch, so nothing uncounted hides on the prime path, and that none
+/// of the three-phase prime's sets runs. The tiled program has one such
+/// branch the others lack: an iteration its zero lists cannot decide
+/// streams the matrix (`step4.sweepinit` and one `step4.scan[b]` per
+/// block) and runs the arg-max and decode once more; the count is for a
+/// prime iteration that does not stream.
+fn batched_supersteps_per_prime(rep: &SolveReport, stats: &CycleStats) -> u64 {
     let iterations = executions(stats, "step4.status");
     let streamed = executions(stats, "step4.sweepinit");
     let primes = iterations - rep.stats.augmentations - rep.stats.dual_updates;
@@ -62,7 +50,7 @@ fn fused_supersteps_per_prime(rep: &SolveReport, stats: &CycleStats) -> u64 {
     let mut common = 0;
     for set in &stats.per_compute_set {
         if set.name.starts_with("prime.") || set.name == "step4.uncover" {
-            assert_eq!(set.executions, 0, "{} runs on the fused path", set.name);
+            assert_eq!(set.executions, 0, "{} runs on the batched path", set.name);
         } else if set.name.starts_with("step4.") && set.name != "step4.prime" {
             if set.name.starts_with("step4.selcol.") {
                 // The zero-column read is the augment branch's alone.
@@ -80,6 +68,27 @@ fn fused_supersteps_per_prime(rep: &SolveReport, stats: &CycleStats) -> u64 {
     common + 1
 }
 
+/// Checks one batched solve against the three-phase solve of the same
+/// instance (the batched certificate is verified by the caller).
+fn compare(
+    (batched, batched_stats): (&SolveReport, &CycleStats),
+    (paper, paper_stats): (&SolveReport, &CycleStats),
+) {
+    assert_eq!(batched.objective.to_bits(), paper.objective.to_bits());
+    // Every augmentation grows the matching by one from the same Step 2
+    // matching, whichever rows the primes covered.
+    assert_eq!(batched.stats.augmentations, paper.stats.augmentations);
+    let (b, p) = (
+        executions(batched_stats, "step4.status"),
+        executions(paper_stats, "step4.status"),
+    );
+    assert!(b < p, "{b} Step 4 iterations batched, {p} three-phase");
+    assert!(batched_stats.total_cycles() < paper_stats.total_cycles());
+    let per_prime = batched_supersteps_per_prime(batched, batched_stats);
+    assert!(per_prime <= 6, "{per_prime} compute supersteps per prime");
+    assert!(executions(paper_stats, "step4.uncover") > 0);
+}
+
 fn instance(n: usize, seed: u64) -> CostMatrix {
     gaussian_cost_matrix(n, 10, seed)
 }
@@ -93,27 +102,25 @@ fn watched(config: IpuConfig) -> IpuConfig {
     }
 }
 
-/// Dense solves: fused and three-phase outputs agree, and the fused
-/// prime iteration fits in six compute supersteps.
-fn dense_pair(solver: HunIpu, m: &CostMatrix) {
-    let (fused, fused_engine) = solver
+/// Dense solves under both schedules; returns the Step 4 iterations and
+/// total cycles of each, batched first.
+fn dense_pair(solver: HunIpu, m: &CostMatrix) -> [(u64, u64); 2] {
+    let (batched, batched_engine) = solver
         .clone()
-        .with_ablation(FUSED)
+        .with_ablation(BATCHED)
         .solve_with_engine(m)
         .unwrap();
     let (paper, paper_engine) = solver
         .with_ablation(THREE_PHASE)
         .solve_with_engine(m)
         .unwrap();
-    fused.verify(m, F32_VERIFY_EPS).unwrap();
-    assert_eq!(
-        outputs(&fused, fused_engine.stats()),
-        outputs(&paper, paper_engine.stats())
+    batched.verify(m, F32_VERIFY_EPS).unwrap();
+    compare(
+        (&batched, batched_engine.stats()),
+        (&paper, paper_engine.stats()),
     );
-    let per_prime = fused_supersteps_per_prime(&fused, fused_engine.stats());
-    assert!(per_prime <= 6, "{per_prime} compute supersteps per prime");
-    assert!(executions(paper_engine.stats(), "step4.uncover") > 0);
-    assert!(fused_engine.stats().total_cycles() < paper_engine.stats().total_cycles());
+    [batched_engine.stats(), paper_engine.stats()]
+        .map(|s| (executions(s, "step4.status"), s.total_cycles()))
 }
 
 #[test]
@@ -138,6 +145,27 @@ fn dense_tiny64() {
         dense_pair(
             HunIpu::with_config(watched(IpuConfig::tiny(64))),
             &instance(64, seed),
+        );
+    }
+}
+
+/// The batched prime's acceptance gate on the Mk2 model (Gaussian k=10,
+/// seed 1): at least 3× fewer Step 4 iterations and 1.5× fewer modeled
+/// cycles than priming one row per iteration.
+#[test]
+fn mk2_gate_iterations_and_cycles() {
+    for n in [256, 512] {
+        let [(b_iter, b_cyc), (p_iter, p_cyc)] = dense_pair(
+            HunIpu::with_config(watched(IpuConfig::mk2())),
+            &instance(n, 1),
+        );
+        assert!(
+            b_iter * 3 <= p_iter,
+            "n={n}: {b_iter} Step 4 iterations batched, {p_iter} three-phase"
+        );
+        assert!(
+            b_cyc * 3 <= p_cyc * 2,
+            "n={n}: {b_cyc} cycles batched, {p_cyc} three-phase"
         );
     }
 }
@@ -181,10 +209,9 @@ fn seeded_resolve() {
         let stats = warm.seeded_engine().unwrap().stats().clone();
         (seeded, stats)
     };
-    let (fused, fused_stats) = run(FUSED);
+    let (batched, batched_stats) = run(BATCHED);
     let (paper, paper_stats) = run(THREE_PHASE);
-    assert_eq!(outputs(&fused, &fused_stats), outputs(&paper, &paper_stats));
-    assert!(fused_supersteps_per_prime(&fused, &fused_stats) <= 6);
+    compare((&batched, &batched_stats), (&paper, &paper_stats));
 }
 
 #[test]
@@ -197,14 +224,13 @@ fn sparse_k8() {
             .solve_sparse_with_engine(&sc)
             .unwrap()
     };
-    let (fused, fused_engine) = run(FUSED);
+    let (batched, batched_engine) = run(BATCHED);
     let (paper, paper_engine) = run(THREE_PHASE);
-    sc.verify_report(&fused, F32_VERIFY_EPS).unwrap();
-    assert_eq!(
-        outputs(&fused, fused_engine.stats()),
-        outputs(&paper, paper_engine.stats())
+    sc.verify_report(&batched, F32_VERIFY_EPS).unwrap();
+    compare(
+        (&batched, batched_engine.stats()),
+        (&paper, paper_engine.stats()),
     );
-    assert!(fused_supersteps_per_prime(&fused, fused_engine.stats()) <= 6);
 }
 
 #[test]
@@ -217,14 +243,13 @@ fn tiled() {
             .solve_tiled(&m)
             .unwrap()
     };
-    let (fused, fused_engine) = run(FUSED);
+    let (batched, batched_engine) = run(BATCHED);
     let (paper, paper_engine) = run(THREE_PHASE);
-    fused.verify(&m, F32_VERIFY_EPS).unwrap();
-    assert_eq!(
-        outputs(&fused, fused_engine.stats()),
-        outputs(&paper, paper_engine.stats())
-    );
+    batched.verify(&m, F32_VERIFY_EPS).unwrap();
     // A prime iteration the zero lists decide streams nothing, so it runs
     // the dense program's supersteps; the prime branch is the one fused set.
-    assert!(fused_supersteps_per_prime(&fused, fused_engine.stats()) <= 6);
+    compare(
+        (&batched, batched_engine.stats()),
+        (&paper, paper_engine.stats()),
+    );
 }

@@ -3,16 +3,22 @@
 //! plus one `step4.scan[b]` per block) only when the lists cannot decide
 //! it, so no scenario streams more than once per Step 4 iteration, and
 //! a search with no dual update and no truncated-list miss streams only
-//! in its three set-up sweeps.
+//! in its three set-up sweeps. Both prime schedules are checked.
 
 mod tiled;
 
+use hunipu::PrimeMode;
 use tiled::executions;
+
+const PRIMES: [PrimeMode; 2] = [PrimeMode::ThreePhase, PrimeMode::Batched];
 
 #[test]
 fn the_search_streams_at_most_once_per_iteration() {
-    for s in tiled::scenarios() {
-        let (report, engine) = tiled::solve(&s);
+    for (s, prime) in tiled::scenarios()
+        .iter()
+        .flat_map(|s| PRIMES.map(|p| (s, p)))
+    {
+        let (report, engine) = tiled::solve(s, prime);
         let stats = engine.stats();
         let iterations = executions(stats, "step4.status");
         let sweeps = executions(stats, "step4.sweepinit");
@@ -45,7 +51,13 @@ fn a_search_without_dual_updates_or_list_misses_streams_nothing() {
         .into_iter()
         .find(|s| s.name == "diag-n1024")
         .unwrap();
-    let (report, engine) = tiled::solve(&s);
+    for prime in PRIMES {
+        streams_nothing(&s, prime);
+    }
+}
+
+fn streams_nothing(s: &tiled::Scenario, prime: PrimeMode) {
+    let (report, engine) = tiled::solve(s, prime);
     let stats = engine.stats();
     assert_eq!(report.stats.dual_updates, 0);
     assert!(executions(stats, "step4.status") > 1, "the search iterates");

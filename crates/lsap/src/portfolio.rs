@@ -457,10 +457,13 @@ impl PortfolioTable {
     /// `cargo run --release -p bench --bin calibrate -- --emit-rust` and
     /// paste the emitted table here). Anchors, for intuition:
     ///
-    /// - `hunipu`: Mk2 cycles; n=64 ≈ 3.0M solve cycles + ~0.51M program
-    ///   load, n=512 ≈ 144M (~0.11 s) — a growing-exponent regime fitted
-    ///   ~n^2.1 over the bench range. Extra chips *raise* cycles at
-    ///   these sizes (inter-chip exchange), hence chip multipliers > 1.
+    /// - `hunipu`: Mk2 cycles; n=64 ≈ 0.73M solve cycles + ~0.51M program
+    ///   load, n=512 ≈ 16M (~0.012 s) — fitted ~n^1.4 over the bench
+    ///   range, a growing-exponent regime (n=512 runs ~15% above the
+    ///   law). Extra chips *raise* cycles at these sizes (inter-chip
+    ///   exchange), hence chip multipliers > 1. Fitted with `--ks 1,10`:
+    ///   the cost is concave in log k, and a fit over 1..100 over-predicts
+    ///   k = 1, the one range where HunIPU and JV are close.
     /// - `fastha`: A100 modeled seconds. Lockstep launch/sync rounds —
     ///   the overhead law, ~n^1.8, 0.45 s at n=512 — dominate a solo
     ///   solve and amortize across a batch; the per-instance marginal
@@ -476,13 +479,13 @@ impl PortfolioTable {
                 engine: "hunipu".into(),
                 clock_hz: 1325000000.0,
                 solve: PowerLaw {
-                    coeff: 6.951610e2,
-                    exponent: 1.8403,
+                    coeff: 2.332565e3,
+                    exponent: 1.3974,
                 },
-                density_exponent: 0.0691,
-                chip_mult: vec![(1, 1.0000), (2, 1.2778), (4, 1.7038)],
+                density_exponent: 0.2095,
+                chip_mult: vec![(1, 1.0000), (2, 1.3078), (4, 1.6628)],
                 overhead: PowerLaw {
-                    coeff: 4.539100e5,
+                    coeff: 4.539080e5,
                     exponent: 0.0331,
                 },
                 // In-SRAM dense program: past the paper's n = 8192 the
@@ -563,9 +566,9 @@ impl PortfolioTable {
             //   (n²·4 B / 24 B-per-cycle) is paid only when the lists
             //   cannot decide an iteration — twice per dual update on
             //   Gaussian instances. Fitted like `hunipu` (Mk2, Gaussian
-            //   k=10, n = 16..256, 3 seeds): 1.21–1.31× `hunipu`'s
+            //   k=10, n = 16..256, 3 seeds): 1.31–2.02× `hunipu`'s
             //   measured cycles, so it does not win below the SRAM
-            //   ceiling (the two laws cross only at toy n < 10) — it
+            //   ceiling (the two laws cross only at toy n < 3) — it
             //   exists to take the sizes `hunipu` cannot. The easy
             //   `bench scale` cells (diag-dominant, no dual updates) run
             //   far below this law: mostly the three set-up streams.
@@ -580,10 +583,10 @@ impl PortfolioTable {
                     coeff: 5.8e3,
                     exponent: 0.94,
                 },
-                density_exponent: 0.0691,
+                density_exponent: 0.2095,
                 chip_mult: Vec::new(),
                 overhead: PowerLaw {
-                    coeff: 4.539100e5,
+                    coeff: 4.539080e5,
                     exponent: 0.0331,
                 },
                 support: Support::Any,
@@ -594,13 +597,13 @@ impl PortfolioTable {
                 engine: "hunipu_tiled".into(),
                 clock_hz: 1325000000.0,
                 solve: PowerLaw {
-                    coeff: 5.97e2,
-                    exponent: 1.907,
+                    coeff: 2.061e3,
+                    exponent: 1.5355,
                 },
-                density_exponent: 0.0691,
+                density_exponent: 0.2095,
                 chip_mult: Vec::new(),
                 overhead: PowerLaw {
-                    coeff: 4.539100e5,
+                    coeff: 4.539080e5,
                     exponent: 0.0331,
                 },
                 support: Support::Any,
@@ -926,14 +929,19 @@ mod tests {
             "expected >10x IPU speedup over Munkres at n=512, got {:.1}x",
             munkres / ipu
         );
-        // FastHA's launch latency loses to the IPU solo but amortizes
-        // ahead of it under batching (at n=512 from B≈13 on; modeled
-        // per instance at B=16: FastHA 37 ms vs HunIPU 47 ms).
+        // FastHA's launch latency loses to the IPU solo. Batching
+        // amortizes most of it, but FastHA's per-instance marginal alone
+        // exceeds the IPU's solve at n=512 (modeled per instance at
+        // B=16: FastHA 44 ms vs HunIPU 11 ms), so the IPU stays ahead.
         let fastha = t.get("fastha").unwrap();
         let hunipu = t.get("hunipu").unwrap();
-        assert!(fastha.seconds_per_instance(s) > hunipu.seconds_per_instance(s));
+        let gap = |s| fastha.seconds_per_instance(s) / hunipu.seconds_per_instance(s);
         let batched = s.with_batch(16);
-        assert!(fastha.seconds_per_instance(batched) < hunipu.seconds_per_instance(batched));
+        assert!(gap(batched) > 1.0);
+        assert!(
+            gap(s) > gap(batched),
+            "batching amortizes FastHA's launches"
+        );
         // Extra chips raise IPU cost at bench sizes (inter-chip fabric).
         assert!(hunipu.seconds_per_instance(s.with_chips(4)) > hunipu.seconds_per_instance(s));
     }
